@@ -20,7 +20,8 @@ import numpy as np
 from repro.core import DynOpt, Mode, Options, compile_program
 from repro.interp import run_sequential
 from repro.lang import parse
-from repro.machine import IPSC860, resolve_scheduler, resolve_topology
+from repro.machine import IPSC860, resolve_topology
+from repro.machine.machine import BACKEND
 
 #: repository root — every benchmark's JSON artifact lands here so CI
 #: can glob ``BENCH_*.json`` uniformly
@@ -74,8 +75,8 @@ def emit_bench(name: str, payload: dict) -> Path:
     the files are the machine-readable counterpart of the printed
     paper-style tables and are uploaded as CI artifacts.
 
-    Every payload is made self-describing: the active scheduler
-    backend, topology, host CPU count, execution path (vectorization
+    Every payload is made self-describing: the simulator backend,
+    topology, host CPU count, execution path (vectorization
     and node-program codegen switches), the producing commit
     (``git_sha``), and the generation time (``generated_at``,
     injectable via ``REPRO_BENCH_TIMESTAMP``) are stamped in (explicit
@@ -88,7 +89,7 @@ def emit_bench(name: str, payload: dict) -> Path:
 
     payload.setdefault("git_sha", git_sha())
     payload.setdefault("generated_at", bench_timestamp())
-    payload.setdefault("scheduler", resolve_scheduler(None))
+    payload.setdefault("scheduler", BACKEND)
     payload.setdefault("topology", resolve_topology(None, 1).describe())
     payload.setdefault("host_cpus", os.cpu_count() or 1)
     payload.setdefault("vectorize", vectorize_enabled(None))

@@ -97,7 +97,7 @@ def test_tuned_plan_is_bit_identical(paper_table):
                    memo_dir="")
     tuned_opts = out.best.apply(Options(nprocs=P))
     cp = compile_program(src, tuned_opts)
-    res = cp.run(cost=IPSC860, scheduler="event", codegen=False,
+    res = cp.run(cost=IPSC860, codegen=False,
                  timeout_s=120.0)
     assert res.stats.time_us == out.best_metrics["time_us"], \
         "applied plan must reproduce the tuner's measured virtual time"

@@ -4,7 +4,7 @@ Not a paper figure — this measures the simulator itself.  The vectorized
 execution engine compiles innermost affine loop nests to numpy slice
 assignments; this bench reports end-to-end elements/second on the 1-D
 relaxation app for both execution paths, sequentially (pure interpreter
-throughput) and under the full SPMD simulation (threads + virtual
+throughput) and under the full SPMD simulation (event core + virtual
 network), and writes the numbers to ``BENCH_interp.json`` at the repo
 root.
 

@@ -59,8 +59,7 @@ def test_bench_metrics_overhead(benchmark, paper_table):
     cp = compile_program(src, Options(nprocs=P, mode=Mode.INTER))
 
     def run(metrics):
-        return cp.run(cost=IPSC860, scheduler="coop", timeout_s=300.0,
-                      metrics=metrics)
+        return cp.run(cost=IPSC860, timeout_s=300.0, metrics=metrics)
 
     off_a, res_off = _best_wall(lambda: run(False))
     off_b, _ = _best_wall(lambda: run(False))
@@ -133,8 +132,7 @@ def test_bench_postmortem_at_scale(tmp_path, monkeypatch, paper_table):
 
     t0 = time.perf_counter()
     with pytest.raises(SimulationError, match="deadlock|aborted"):
-        Machine(P_BIG, FREE, timeout_s=120.0, scheduler="event",
-                metrics=reg).run(prog)
+        Machine(P_BIG, FREE, timeout_s=120.0, metrics=reg).run(prog)
     detect_s = time.perf_counter() - t0
 
     files = sorted(tmp_path.glob("postmortem-simulation-error-*.json"))

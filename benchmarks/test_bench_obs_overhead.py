@@ -53,8 +53,7 @@ def test_bench_obs_overhead(benchmark, paper_table):
     cp = compile_program(src, Options(nprocs=P, mode=Mode.INTER))
 
     def run(trace):
-        return cp.run(cost=IPSC860, scheduler="coop", timeout_s=300.0,
-                      trace=trace)
+        return cp.run(cost=IPSC860, timeout_s=300.0, trace=trace)
 
     off_a, res_off = _best_wall(lambda: run(False))
     off_b, _ = _best_wall(lambda: run(False))

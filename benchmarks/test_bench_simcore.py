@@ -1,26 +1,16 @@
-"""Experiment [simulation core]: cooperative scheduler vs thread oracle.
+"""Experiment [simulation core]: event core cost per rank, comm cache.
 
-Not a paper figure — this measures the simulator itself.  The
-cooperative run-to-block scheduler executes exactly one rank at a time
-and hands the CPU over only at network blocking points, so it pays no
-GIL hand-offs, no lock contention, and no condition-variable wakeups;
-the communication-schedule cache additionally turns steady-state
-message assembly into a dict lookup plus one slice copy.
+Not a paper figure — this measures the simulator itself.  The event
+core executes exactly one rank at a time and switches only at network
+blocking points, so it pays no GIL hand-offs, no lock contention, and
+no condition-variable wakeups; the communication-schedule cache
+additionally turns steady-state message assembly into a dict lookup
+plus one slice copy.
 
 The bench runs the stencil relaxation at P = 1, 4, 16, 64 and dgefa at
-P = 16 under both backends and reports host wall-clock per simulated
-rank, plus the "new core vs old core" comparison (coop + comm cache
-against threads with the cache disabled — the pre-optimization
-configuration).  Everything lands in ``BENCH_simcore.json``.
-
-The headline ≥3x criterion targets the GIL-contention pathology of the
-free-running thread backend, which physically requires multiple cores
-to manifest (on a single-CPU host the OS serializes the threads anyway
-and the oracle degenerates into an accidental round-robin scheduler).
-The assertion is therefore gated on ``os.cpu_count()``: multi-core
-hosts must show the ≥3x win; single-core hosts must show the coop
-backend at least matching the oracle, and the measured ratios are
-recorded either way.
+P = 16 and reports host wall-clock per simulated rank, plus the
+communication-schedule cache's effect (the same runs with
+``REPRO_COMM_CACHE=0``).  Everything lands in ``BENCH_simcore.json``.
 """
 
 from __future__ import annotations
@@ -34,7 +24,7 @@ import pytest
 from repro.apps.dgefa import dgefa_source, make_dgefa_init
 from repro.apps.stencil import stencil1d_source
 from repro.core import Mode, Options, compile_program
-from repro.machine import FREE, IPSC860
+from repro.machine import IPSC860
 
 from _harness import emit_bench
 
@@ -42,10 +32,6 @@ PROCS = [1, 4, 16, 64]
 STENCIL_N, STENCIL_STEPS = 256, 50
 DGEFA_N = 48
 REPS = 3
-
-#: cores needed before the thread backend can exhibit real GIL
-#: contention (the pathology the cooperative scheduler removes)
-CONTENTION_CORES = 4
 
 
 def _best_wall(run, reps: int = REPS) -> tuple[float, object]:
@@ -58,14 +44,13 @@ def _best_wall(run, reps: int = REPS) -> tuple[float, object]:
     return best, res
 
 
-def _measure(src, P, scheduler, *, cache=True, init_fn=None, arr="x"):
+def _measure(src, P, *, cache=True, init_fn=None, arr="x"):
     os.environ["REPRO_COMM_CACHE"] = "1" if cache else "0"
     try:
         cp = compile_program(src, Options(nprocs=P, mode=Mode.INTER))
         extra = {"init_fn": init_fn} if init_fn is not None else {}
         wall, res = _best_wall(
-            lambda: cp.run(cost=IPSC860, scheduler=scheduler,
-                           timeout_s=300.0, **extra)
+            lambda: cp.run(cost=IPSC860, timeout_s=300.0, **extra)
         )
     finally:
         os.environ.pop("REPRO_COMM_CACHE", None)
@@ -79,30 +64,25 @@ def _measure(src, P, scheduler, *, cache=True, init_fn=None, arr="x"):
 
 @pytest.fixture(scope="module")
 def sweep():
-    """All (app, P, scheduler) measurements, plus the old-core config."""
+    """All (app, P, config) measurements: ``cached`` is the default
+    configuration, ``nocache`` disables the comm-schedule cache."""
     out = {}
     src = stencil1d_source(STENCIL_N, STENCIL_STEPS)
     for P in PROCS:
-        for sched in ("coop", "threads", "event"):
-            out[("stencil", P, sched)] = _measure(src, P, sched)
+        out[("stencil", P, "cached")] = _measure(src, P)
     dsrc = dgefa_source(DGEFA_N)
     init = make_dgefa_init(DGEFA_N)
-    for sched in ("coop", "threads", "event"):
-        out[("dgefa", 16, sched)] = _measure(
-            dsrc, 16, sched, init_fn=init, arr="a"
-        )
-    # the pre-optimization core: free-running threads, no comm cache
-    out[("stencil", 16, "oldcore")] = _measure(src, 16, "threads",
-                                               cache=False)
-    out[("dgefa", 16, "oldcore")] = _measure(dsrc, 16, "threads",
-                                             cache=False, init_fn=init,
-                                             arr="a")
+    out[("dgefa", 16, "cached")] = _measure(dsrc, 16, init_fn=init,
+                                            arr="a")
+    out[("stencil", 16, "nocache")] = _measure(src, 16, cache=False)
+    out[("dgefa", 16, "nocache")] = _measure(dsrc, 16, cache=False,
+                                             init_fn=init, arr="a")
     return out
 
 
-def _ratio(sweep, app, P, baseline="threads"):
-    return (sweep[(app, P, baseline)]["wall_s"]
-            / sweep[(app, P, "coop")]["wall_s"])
+def _ratio(sweep, app, P):
+    return (sweep[(app, P, "nocache")]["wall_s"]
+            / sweep[(app, P, "cached")]["wall_s"])
 
 
 def test_bench_simcore(benchmark, sweep, paper_table):
@@ -110,7 +90,7 @@ def test_bench_simcore(benchmark, sweep, paper_table):
     benchmark.pedantic(
         lambda: compile_program(
             src, Options(nprocs=16, mode=Mode.INTER)
-        ).run(cost=IPSC860, scheduler="coop", timeout_s=300.0),
+        ).run(cost=IPSC860, timeout_s=300.0),
         rounds=2, iterations=1,
     )
     rows = []
@@ -120,36 +100,30 @@ def test_bench_simcore(benchmark, sweep, paper_table):
         "dgefa": {"n": DGEFA_N},
         "configs": {},
     }
-    for (app, P, sched), m in sorted(sweep.items()):
+    for (app, P, cfg), m in sorted(sweep.items()):
         s = m["stats"]
         rows.append(
-            f"{app:<8} P={P:<3} {sched:<8} wall={m['wall_s'] * 1e3:>8.1f}ms "
+            f"{app:<8} P={P:<3} {cfg:<8} wall={m['wall_s'] * 1e3:>8.1f}ms "
             f"per-rank={m['wall_per_rank_ms']:>7.2f}ms "
             f"dispatches={s.dispatches:>6} switches={s.switches:>6} "
             f"comm-cache={s.comm_cache_hits}/{s.comm_cache_hits + s.comm_cache_misses}"
         )
-        payload["configs"][f"{app}_P{P}_{sched}"] = {
+        payload["configs"][f"{app}_P{P}_{cfg}"] = {
             "wall_s": m["wall_s"],
             "wall_per_rank_ms": m["wall_per_rank_ms"],
             "stats": s.as_dict(),
         }
     ratios = {
-        "stencil_P16_threads_over_coop": _ratio(sweep, "stencil", 16),
-        "dgefa_P16_threads_over_coop": _ratio(sweep, "dgefa", 16),
-        "stencil_P16_oldcore_over_coop": _ratio(sweep, "stencil", 16,
-                                                "oldcore"),
-        "dgefa_P16_oldcore_over_coop": _ratio(sweep, "dgefa", 16,
-                                              "oldcore"),
+        "stencil_P16_nocache_over_cached": _ratio(sweep, "stencil", 16),
+        "dgefa_P16_nocache_over_cached": _ratio(sweep, "dgefa", 16),
     }
     payload["speedup"] = ratios
-    payload["contention_capable_host"] = (
-        os.cpu_count() or 1) >= CONTENTION_CORES
     emit_bench("simcore", payload)
-    rows.append("speedup (threads/coop, P=16): "
+    rows.append("comm-cache speedup (P=16): "
                 + "  ".join(f"{k.split('_')[0]}={v:.2f}x"
-                            for k, v in list(ratios.items())[:2]))
+                            for k, v in ratios.items()))
     paper_table(
-        f"Simulation core: cooperative scheduler vs thread oracle "
+        f"Simulation core: event core per-rank cost and comm cache "
         f"(stencil n={STENCIL_N} x {STENCIL_STEPS} steps, "
         f"dgefa n={DGEFA_N}, best of {REPS})",
         "app      cfg      measurements",
@@ -161,60 +135,30 @@ def test_bench_simcore(benchmark, sweep, paper_table):
 
 
 class TestShape:
-    def test_backends_bit_identical(self, sweep):
-        for app, P in {(a, p) for (a, p, _s) in sweep}:
-            base = sweep[(app, P, "threads" if (app, P, "threads") in sweep
-                          else "coop")]
-            for sched in ("coop", "threads", "event", "oldcore"):
-                m = sweep.get((app, P, sched))
-                if m is None:
-                    continue
-                assert np.array_equal(m["array"], base["array"]), \
-                    (app, P, sched)
-                assert m["stats"].messages == base["stats"].messages
-                assert m["stats"].bytes == base["stats"].bytes
-                assert m["stats"].proc_times == base["stats"].proc_times
-
-    def test_coop_never_loses_at_p16(self, sweep):
-        """On any host the cooperative backend must at least match the
-        thread oracle (tolerance absorbs timer noise)."""
-        for app in ("stencil", "dgefa"):
-            assert _ratio(sweep, app, 16) >= 0.75, app
-
-    def test_contention_speedup(self, sweep):
-        """The headline criterion: ≥3x over the free-running thread
-        backend at P=16 on an application benchmark.  GIL contention —
-        the pathology being eliminated — needs multiple cores to exist;
-        a single-CPU host serializes the oracle's threads for free, so
-        there the recorded ratio is informational and the no-regression
-        shape above is the binding check."""
-        cores = os.cpu_count() or 1
-        if cores < CONTENTION_CORES:
-            pytest.skip(
-                f"host has {cores} CPU(s): thread backend cannot "
-                f"exhibit GIL contention; ratios recorded in "
-                f"BENCH_simcore.json"
-            )
-        best = max(_ratio(sweep, "stencil", 16),
-                   _ratio(sweep, "dgefa", 16))
-        assert best >= 3.0, f"coop only {best:.2f}x over threads at P=16"
+    def test_cache_bit_identical(self, sweep):
+        for (app, P, cfg), m in sweep.items():
+            if cfg != "nocache":
+                continue
+            base = sweep[(app, P, "cached")]
+            assert np.array_equal(m["array"], base["array"]), (app, P)
+            assert m["stats"].messages == base["stats"].messages
+            assert m["stats"].bytes == base["stats"].bytes
+            assert m["stats"].proc_times == base["stats"].proc_times
 
     def test_scheduler_stats_recorded(self, sweep):
-        m = sweep[("stencil", 16, "coop")]
-        assert m["stats"].scheduler == "coop"
+        m = sweep[("stencil", 16, "cached")]
+        assert m["stats"].scheduler == "event"
         assert m["stats"].wall_s > 0
         assert m["stats"].dispatches >= 16
         assert m["stats"].switches > 0
         assert m["stats"].comm_cache_hits > 0
-        t = sweep[("stencil", 16, "threads")]
-        assert t["stats"].scheduler == "threads"
-        o = sweep[("stencil", 16, "oldcore")]
+        o = sweep[("stencil", 16, "nocache")]
         assert o["stats"].comm_cache_hits == 0
 
-    def test_coop_dispatch_work_bounded(self, sweep):
+    def test_dispatch_work_bounded(self, sweep):
         """Run-to-block means context switches scale with blocking
         communication, not with statements executed."""
-        m = sweep[("stencil", 16, "coop")]
+        m = sweep[("stencil", 16, "cached")]
         s = m["stats"]
         # every switch corresponds to a blocking point; there are at
         # most a few per rank per time step plus scheduling slack

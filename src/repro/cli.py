@@ -12,7 +12,7 @@ Usage::
     fdc program.fd --trace out.json      # Chrome/Perfetto event trace
     fdc program.fd --profile             # comm hot spots + critical path
     fdc program.fd --run --stats-json s.json
-    fdc program.fd --run --scheduler event --topology hypercube
+    fdc program.fd --run --topology hypercube
 
 Compile-service subcommands and client mode::
 
@@ -80,13 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-seed", type=int, default=0,
                    help="seed for the fault plan (default 0; also via "
                         "REPRO_FAULT_SEED)")
-    p.add_argument("--scheduler", choices=["coop", "threads", "event"],
-                   default=None,
-                   help="with --run: simulation backend — 'coop' is the "
-                        "single-threaded run-to-block scheduler (default), "
-                        "'threads' the thread-per-rank oracle, 'event' the "
-                        "event-driven core for large P (also via "
-                        "REPRO_SCHEDULER)")
     p.add_argument("--topology", metavar="NAME", default=None,
                    help="with --run: interconnect topology — uniform "
                         "(default), hypercube, mesh2d, torus2d, fattree; "
@@ -106,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "the override the auto-tuner emits")
     p.add_argument("--autotune", action="store_true",
                    help="search per-array distributions and processor "
-                        "counts on the simulator (event backend), report "
+                        "counts on the simulator, report "
                         "the best plan + predicted speedup, and apply it "
                         "to this compilation")
     p.add_argument("--budget", type=int, default=32, metavar="N",
@@ -420,7 +413,6 @@ def main(argv: list[str] | None = None) -> int:
         try:
             res = cp.run(cost=COSTS[args.cost], faults=faults,
                          timeout_s=args.timeout,
-                         scheduler=args.scheduler,
                          trace=tracer,
                          topology=args.topology,
                          codegen=args.codegen,

@@ -12,10 +12,13 @@ ranks.
 
 Two variants of each procedure may be emitted:
 
-* a plain function ``fn(rt, fr)`` for the coop/threads backends, and
-* a generator ``fn_y(rt, fr)`` for the event backend that yields at
-  exactly the suspension points of the interpreter's blocking-units
-  fixpoint (``find_blocking_units``).
+* a generator ``fn_y(rt, fr)``, the form the simulator drives, that
+  yields at exactly the suspension points of the interpreter's
+  blocking-units fixpoint (``find_blocking_units``), and
+* a plain function ``fn(rt, fr)``, for procedures that never block and
+  for programs that run as plain callables on fibers (a communicating
+  FUNCTION referenced inside an expression; see
+  :func:`~repro.interp.interpreter.blocking_expr_call`).
 
 The generated code must be **bit-identical** to the interpreter in
 arrays, virtual clocks, and RunStats: every ``compute``/``loop_tick``/
@@ -39,6 +42,7 @@ from ..interp.interpreter import (
     _BLOCKING_STMTS,
     Interpreter,
     _count_ops,
+    blocking_expr_call,
     find_blocking_units,
 )
 from ..interp.vectorize import _INVARIANT_OK_CALLS, MIN_BLOCK, _mentions
@@ -393,20 +397,16 @@ class _FnEmitter:
             pre.append(f"_l{ax}_{ident} = _a_{ident}.bounds[{ax}][0]")
         return ["    " + ln for ln in pre]
 
-    # -- event-backend gating ---------------------------------------------
+    # -- generator-variant gating -----------------------------------------
 
     def _check_no_blocking_exprs(self) -> None:
-        """Mirror of ``Interpreter._check_no_blocking_exprs``: demoting
-        here reproduces the interpreter's compile-time error exactly."""
-        for st in A.walk_stmts(self.unit.body):
-            for e in A.stmt_exprs(st):
-                for sub in A.walk_exprs(e):
-                    if isinstance(sub, A.CallExpr) \
-                            and sub.name in self.mod.blocking:
-                        raise Unsupported(
-                            f"function {sub.name!r} communicates inside "
-                            f"an expression (event backend)"
-                        )
+        """A generator cannot suspend inside an expression: demote the
+        generator variant exactly where the interpreter refuses one."""
+        callee = blocking_expr_call(self.unit, self.mod.blocking)
+        if callee is not None:
+            raise Unsupported(
+                f"function {callee!r} communicates inside an expression"
+            )
 
     def may_block(self, s: A.Stmt) -> bool:
         if isinstance(s, _BLOCKING_STMTS):

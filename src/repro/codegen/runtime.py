@@ -20,7 +20,9 @@ import numpy as np
 
 from ..dist import Distribution
 from ..interp.arrays import FArray
-from ..interp.interpreter import Frame, Interpreter, InterpError, _Stop
+from ..interp.interpreter import (
+    Frame, Interpreter, InterpError, _Stop, find_blocking_units,
+)
 from ..runtime.remap import mark_array, remap_array, remap_array_y
 
 
@@ -142,8 +144,7 @@ class NodeRt:
         return callee
 
     def call_y(self, name: str, fr: Frame, args: list, var_actuals: tuple):
-        """Generator twin of :meth:`call` for blocking callees on the
-        event backend."""
+        """Generator twin of :meth:`call` for blocking callees."""
         interp = self.interp
         unit = interp.program.unit(name)
         callee = interp._make_frame(unit, args, fr)
@@ -155,7 +156,7 @@ class NodeRt:
             self.mod.units[name](self, callee)
         else:
             if interp._blocking is None:
-                interp._blocking = interp._find_blocking_units()
+                interp._blocking = find_blocking_units(interp.program)
             yield from interp._exec_unit_y(unit, callee)
         for formal, actual in zip(unit.formals, var_actuals):
             if actual is not None and actual not in fr.arrays:
@@ -176,7 +177,8 @@ class NodeRt:
     # -- entry points ------------------------------------------------------
 
     def run(self) -> Frame:
-        """Execute the main program (coop/threads backends)."""
+        """Execute the main program as a plain callable (the fiber
+        path; see :func:`~repro.interp.interpreter.needs_fibers`)."""
         interp = self.interp
         main = interp.program.main
         frame = interp._make_frame(main, [], None)
@@ -191,8 +193,8 @@ class NodeRt:
         return frame
 
     def run_y(self):
-        """Generator twin of :meth:`run` for the event backend: yields
-        exactly where the interpreter's event compile path yields."""
+        """Generator twin of :meth:`run`, the form the simulator drives:
+        yields exactly where the interpreter's yielding path yields."""
         interp = self.interp
         main = interp.program.main
         frame = interp._make_frame(main, [], None)
@@ -206,7 +208,7 @@ class NodeRt:
                 self.mod.units[main.name](self, frame)
             else:
                 if interp._blocking is None:
-                    interp._blocking = interp._find_blocking_units()
+                    interp._blocking = find_blocking_units(interp.program)
                 yield from interp._exec_unit_y(main, frame)
         except _Stop:
             pass

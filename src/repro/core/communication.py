@@ -324,11 +324,13 @@ class CommPlanner:
         Returns None for local accesses; raises :class:`_NeedsRTR` for
         patterns outside the compiled subset.
         """
+        if ref.array in self.plan.rtr_arrays:
+            # no compile-time distribution: the owner is only known at
+            # run time, so the read can never be treated as local
+            raise _NeedsRTR(self.plan.rtr_arrays[ref.array])
         info = self.arrays.get(ref.array)
         if info is None or not info.distributed:
             return None
-        if ref.array in self.plan.rtr_arrays:
-            raise _NeedsRTR(self.plan.rtr_arrays[ref.array])
         axis = info.axis
         d = ref.dims[axis]
         dimdist = info.dist.dims[axis]

@@ -87,8 +87,8 @@ class CompiledProgram:
         """Execute on the simulated machine.  *timeout_s* defaults to
         ``REPRO_SIM_TIMEOUT`` (else 60 s); *faults* is an optional
         :class:`~repro.machine.faults.FaultPlan` (``REPRO_FAULTS`` when
-        None); *scheduler* selects the simulation backend
-        (``REPRO_SCHEDULER`` or ``"coop"`` when None); *trace* enables
+        None); *scheduler* is accepted for compatibility only (None or
+        ``"event"``, the one simulator backend); *trace* enables
         event tracing (a :class:`~repro.obs.Tracer`, ``True``, or the
         ``REPRO_TRACE`` environment variable when None); *topology*
         selects the interconnect (a Topology instance, a name like

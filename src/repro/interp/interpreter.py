@@ -102,7 +102,7 @@ def _count_ops(e: A.Expr) -> int:
 def find_blocking_units(program: A.Program) -> set[str]:
     """Procedures that may suspend: those containing a blocking
     statement, transitively closed over CALL / function-call edges.
-    Shared by the event-backend compilation here and by the node-program
+    Shared by the yielding compilation here and by the node-program
     code generator (``repro.codegen``), which must place its yields at
     exactly the same procedures."""
     direct: set[str] = set()
@@ -132,6 +132,30 @@ def find_blocking_units(program: A.Program) -> set[str]:
     return blocking
 
 
+def blocking_expr_call(unit: A.Procedure, blocking: set[str]) -> Optional[str]:
+    """The first procedure of *blocking* that *unit* references inside
+    an expression (a communicating FUNCTION), or None.
+
+    A generator cannot suspend from inside an expression closure, so
+    such a unit has no yielding compilation: :func:`run_spmd` runs the
+    whole program as plain callables on fibers instead, and the code
+    generator demotes the unit's generator variant."""
+    for s in A.walk_stmts(unit.body):
+        for e in A.stmt_exprs(s):
+            for sub in A.walk_exprs(e):
+                if isinstance(sub, A.CallExpr) and sub.name in blocking:
+                    return sub.name
+    return None
+
+
+def needs_fibers(program: A.Program) -> bool:
+    """True when some unit calls a communicating FUNCTION inside an
+    expression (see :func:`blocking_expr_call`)."""
+    blocking = find_blocking_units(program)
+    return any(blocking_expr_call(u, blocking) is not None
+               for u in program.units)
+
+
 class Interpreter:
     """Compiles and executes one program for one node."""
 
@@ -158,8 +182,8 @@ class Interpreter:
         self.tracer = ctx.tracer if ctx is not None else None
         self.prints: list[str] = []
         self._compiled: dict[str, list[StmtFn]] = {}
-        #: event-backend compilation: per-unit segment lists and the set
-        #: of procedures that may suspend (built lazily by run_events)
+        #: yielding compilation: per-unit segment lists and the set of
+        #: procedures that may suspend (built lazily by run_events)
         self._compiled_y: dict[str, list[Seg]] = {}
         self._blocking: Optional[set[str]] = None
         self._param_env: dict[str, dict[str, float | int]] = {}
@@ -184,7 +208,7 @@ class Interpreter:
         return frame
 
     def run_events(self) -> "Generator[None, None, Frame]":
-        """Generator twin of :meth:`run` for the event-driven backend.
+        """Generator twin of :meth:`run`, the form the simulator drives.
 
         Yields exactly at the points where the rank genuinely suspends
         (a RECV with no matching message, a non-last collective
@@ -192,12 +216,12 @@ class Interpreter:
         resumes the generator when the wait is satisfied.  Statements
         that cannot suspend run through the same compiled closures as
         :meth:`run`, so clock charges — and therefore virtual times —
-        are bit-identical to the cooperative backend.
+        are bit-identical whichever form runs.
         """
         if self.ctx is None:
             raise InterpError("run_events requires a machine context")
         if self._blocking is None:
-            self._blocking = self._find_blocking_units()
+            self._blocking = find_blocking_units(self.program)
         main = self.program.main
         frame = self._make_frame(main, [], None)
         try:
@@ -359,9 +383,17 @@ class Interpreter:
     def _exec_unit_y(
         self, unit: A.Procedure, frame: Frame
     ) -> Generator[None, None, None]:
-        """Generator twin of :meth:`_exec_unit` (event backend)."""
+        """Generator twin of :meth:`_exec_unit`."""
         segs = self._compiled_y.get(unit.name)
         if segs is None:
+            callee = blocking_expr_call(unit, self._blocking)
+            if callee is not None:
+                raise InterpError(
+                    f"{unit.name}: function {callee!r} communicates; a "
+                    f"generator cannot suspend inside an expression — "
+                    f"run the program as a plain callable (run_spmd "
+                    f"does) or restructure as a CALL statement"
+                )
             segs = self._compile_block_y(unit.body, unit)
             self._compiled_y[unit.name] = segs
         try:
@@ -755,7 +787,7 @@ class Interpreter:
             return run_mark
         raise InterpError(f"cannot compile statement {type(s).__name__}")
 
-    # -- event-backend (yielding) compilation --------------------------------
+    # -- yielding compilation -----------------------------------------------
     #
     # The event scheduler runs each rank as a generator coroutine that
     # yields only at genuine suspension points.  Compiling every
@@ -766,58 +798,13 @@ class Interpreter:
     # other statements reuse the exact closures of the plain path,
     # grouped into straight-line segments.
 
-    def _find_blocking_units(self) -> set[str]:
-        """Procedures that may suspend: those containing a blocking
-        statement, transitively closed over CALL / function-call
-        edges."""
-        direct: set[str] = set()
-        calls: dict[str, set[str]] = {}
-        unit_names = {u.name for u in self.program.units}
-        for u in self.program.units:
-            callees: set[str] = set()
-            for s in A.walk_stmts(u.body):
-                if isinstance(s, _BLOCKING_STMTS):
-                    direct.add(u.name)
-                if isinstance(s, A.Call):
-                    callees.add(s.name)
-                for e in A.stmt_exprs(s):
-                    for sub in A.walk_exprs(e):
-                        if isinstance(sub, A.CallExpr) \
-                                and sub.name in unit_names:
-                            callees.add(sub.name)
-            calls[u.name] = callees
-        blocking = set(direct)
-        changed = True
-        while changed:
-            changed = False
-            for name, callees in calls.items():
-                if name not in blocking and callees & blocking:
-                    blocking.add(name)
-                    changed = True
-        return blocking
-
-    def _check_no_blocking_exprs(self, s: A.Stmt, unit: A.Procedure) -> None:
-        """The event backend cannot suspend in expression position (a
-        generator cannot yield from inside ``_compile_expr`` closures);
-        compiled node programs never place communication there, so this
-        is a compile-time error, not a silent wrong answer."""
-        for e in A.stmt_exprs(s):
-            for sub in A.walk_exprs(e):
-                if isinstance(sub, A.CallExpr) and sub.name in self._blocking:
-                    raise InterpError(
-                        f"{unit.name}: function {sub.name!r} communicates; "
-                        f"the event backend cannot suspend inside an "
-                        f"expression — restructure as a CALL statement"
-                    )
-
-    def _stmt_may_block(self, s: A.Stmt, unit: A.Procedure) -> bool:
-        self._check_no_blocking_exprs(s, unit)
+    def _stmt_may_block(self, s: A.Stmt) -> bool:
         if isinstance(s, _BLOCKING_STMTS):
             return True
         if isinstance(s, A.Call):
             return s.name in self._blocking
         return any(
-            self._stmt_may_block(c, unit)
+            self._stmt_may_block(c)
             for blk in A.child_blocks(s) for c in blk
         )
 
@@ -846,7 +833,7 @@ class Interpreter:
             plain.clear()
 
         for s in body:
-            if self._stmt_may_block(s, unit):
+            if self._stmt_may_block(s):
                 flush()
                 segs.append((True, self._compile_stmt_y(s, unit)))
             else:
@@ -1378,9 +1365,9 @@ def run_spmd(
     *timeout_s* is the wall-clock safety net (``REPRO_SIM_TIMEOUT`` or
     60 s when None; deadlocks are normally detected instantly).
     *faults* is an optional :class:`~repro.machine.faults.FaultPlan`
-    (``REPRO_FAULTS`` when None).  *scheduler* selects the simulation
-    backend (``REPRO_SCHEDULER`` or the cooperative scheduler when
-    None).  *trace* enables event tracing: a
+    (``REPRO_FAULTS`` when None).  *scheduler* is accepted for
+    compatibility only (None or ``"event"``, the one simulator backend).
+    *trace* enables event tracing: a
     :class:`~repro.obs.Tracer`, ``True`` for a fresh one, or None to
     defer to ``REPRO_TRACE`` (when that names a file, the Chrome trace
     JSON is written there after the run).  *topology* selects the
@@ -1437,9 +1424,11 @@ def run_spmd(
         )
         prints.extend(interp.prints)
 
+    fibers = needs_fibers(program)
+
     def make_node(rank: int):
         mod = gen.module_for(rank) if gen is not None else None
-        if machine.scheduler == "event":
+        if not fibers:
             # generator node program: the machine drives each rank as
             # a coroutine, suspending exactly at blocking communication
             def node(ctx: ProcContext):
@@ -1451,6 +1440,8 @@ def run_spmd(
                 finish(ctx, interp)
                 return frame
         else:
+            # a communicating FUNCTION inside an expression cannot
+            # suspend a generator: plain callable, carried on a fiber
             def node(ctx: ProcContext) -> Frame:
                 interp = make_interp(ctx)
                 if mod is not None:

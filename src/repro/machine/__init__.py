@@ -1,7 +1,7 @@
 """Simulated MIMD distributed-memory machine."""
 
 from .costmodel import FAST_NETWORK, FREE, IPSC860, CostModel, tree_stages
-from .deadlock import DeadlockDetector, DeadlockReport, RankWait
+from .deadlock import DeadlockReport, RankWait
 from .event import (
     EventCollectives,
     EventNetwork,
@@ -10,14 +10,7 @@ from .event import (
 )
 from .faults import FaultPlan
 from .machine import Machine, ProcContext
-from .network import DeadlockError, Network, SimulationError
-from .scheduler import (
-    SCHEDULERS,
-    CoopCollectives,
-    CoopNetwork,
-    CoopScheduler,
-    resolve_scheduler,
-)
+from .network import DeadlockError, SimulationError
 from .stats import RunStats
 from .topology import (
     TOPOLOGIES,
@@ -32,15 +25,10 @@ from .topology import (
 )
 
 __all__ = [
-    "SCHEDULERS",
-    "CoopCollectives",
-    "CoopNetwork",
-    "CoopScheduler",
     "EventCollectives",
     "EventNetwork",
     "EventProcContext",
     "EventScheduler",
-    "resolve_scheduler",
     "CostModel",
     "IPSC860",
     "FAST_NETWORK",
@@ -48,11 +36,9 @@ __all__ = [
     "tree_stages",
     "Machine",
     "ProcContext",
-    "Network",
     "SimulationError",
     "DeadlockError",
     "DeadlockReport",
-    "DeadlockDetector",
     "RankWait",
     "FaultPlan",
     "RunStats",

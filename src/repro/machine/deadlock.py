@@ -1,21 +1,11 @@
-"""Instant deadlock detection over a wait-for graph of blocked ranks.
+"""Structured deadlock diagnosis for the simulated machine.
 
-The previous strategy — a wall-clock timeout on every blocked receive —
-made a miscompiled program cost a minute of silence before failing.
-This module detects the deadlock the moment it becomes true: every rank
-still alive is blocked (on a matched receive or inside a collective),
-no blocked receive can be satisfied by an in-flight (or retransmittable)
-message, and at least one rank is waiting for something that can no
-longer happen.
-
-Ranks register their state transitions (running / blocked on recv /
-blocked in collective / finished / failed) with the
-:class:`DeadlockDetector`.  Registration happens *outside* the network
-condition variables, so lock ordering is always detector -> queue lock
-and never the reverse.  The decisive check is performed by whichever
-thread makes the final transition into a fully-blocked state; a
-deadlock yields a structured :class:`DeadlockReport` carried on the
-raised :class:`DeadlockError`.
+The event core (:mod:`repro.machine.event`) declares a deadlock the
+moment it becomes true: the calendar of runnable ranks is empty while
+some rank is still blocked — on a matched receive nobody will satisfy,
+or inside a collective a peer already left.  This module holds the rank
+states and the :class:`DeadlockReport` built from them, carried on the
+raised :class:`~repro.machine.network.DeadlockError`.
 
 The wall-clock timeout remains as a safety net (configurable via
 ``REPRO_SIM_TIMEOUT`` / ``Machine(timeout_s=...)``), but every ordinary
@@ -25,14 +15,10 @@ tag mismatch — is reported immediately.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .network import Network
-
-#: rank states tracked by the detector
+#: rank states, as they appear in a report
+READY = "ready"
 RUNNING = "running"
 BLOCKED_RECV = "blocked-recv"
 BLOCKED_COLLECTIVE = "blocked-collective"
@@ -103,11 +89,9 @@ class DeadlockReport:
 def build_report(states, details, clocks, pending_of=None) -> DeadlockReport:
     """Assemble a :class:`DeadlockReport` from per-rank state arrays.
 
-    Shared by the thread-backend :class:`DeadlockDetector` and the
-    cooperative scheduler so both produce byte-identical diagnoses: the
-    same ``waits`` snapshot, the same ``pending`` summaries (*pending_of*
-    maps a rank to its queued-but-unmatched keys) and the same one-line
-    ``reason`` strings.
+    The report holds a ``waits`` snapshot of every rank, the ``pending``
+    summaries (*pending_of* maps a rank to its queued-but-unmatched
+    keys) and a one-line ``reason``.
     """
     rep = DeadlockReport()
     nprocs = len(states)
@@ -137,135 +121,3 @@ def build_report(states, details, clocks, pending_of=None) -> DeadlockReport:
             f"{gone} already left"
         )
     return rep
-
-
-class DeadlockDetector:
-    """Tracks rank states and declares deadlock at the instant the last
-    live rank blocks with nothing able to wake any waiter."""
-
-    def __init__(self, nprocs: int) -> None:
-        self.nprocs = nprocs
-        self._lock = threading.Lock()
-        self._state = [RUNNING] * nprocs
-        self._detail: list[object] = [None] * nprocs
-        self._clock = [0.0] * nprocs
-        self.report: Optional[DeadlockReport] = None
-        self.network: Optional["Network"] = None
-        self._declare_cb = None  # set by Machine: aborts the run
-
-    def attach(self, network: "Network", declare_cb) -> None:
-        self.network = network
-        self._declare_cb = declare_cb
-
-    # -- transitions -------------------------------------------------------
-
-    def block_recv(self, rank: int, key: tuple[int, int],
-                   clock: float) -> None:
-        """Rank blocks on a matched receive.  Raises DeadlockError on
-        this thread when this transition completes a deadlock."""
-        self._transition(rank, BLOCKED_RECV, key, clock, raise_here=True)
-
-    def block_collective(self, rank: int, label: str, clock: float) -> None:
-        """Rank blocks inside a collective rendezvous."""
-        self._transition(rank, BLOCKED_COLLECTIVE, label, clock,
-                         raise_here=True)
-
-    def unblock(self, rank: int) -> None:
-        with self._lock:
-            self._state[rank] = RUNNING
-            self._detail[rank] = None
-
-    def release_collective(self) -> None:
-        """The collective barrier tripped: every rank waiting in it is
-        logically running again.  Called from the barrier's action
-        callback — which runs *before* any waiter is released — so a
-        rank that finishes immediately afterwards can never observe a
-        stale blocked-collective state and declare a false deadlock."""
-        with self._lock:
-            for r, s in enumerate(self._state):
-                if s == BLOCKED_COLLECTIVE:
-                    self._state[r] = RUNNING
-                    self._detail[r] = None
-
-    def finish(self, rank: int, clock: float, failed: bool = False) -> None:
-        """Rank left its node program (cleanly or with an error).  Never
-        raises — called from ``finally`` blocks — but still declares the
-        deadlock it may have caused (peers wake and raise)."""
-        self._transition(rank, FAILED if failed else FINISHED, None, clock,
-                         raise_here=False)
-
-    # -- the check ---------------------------------------------------------
-
-    def _transition(self, rank, state, detail, clock, raise_here) -> None:
-        with self._lock:
-            self._state[rank] = state
-            self._detail[rank] = detail
-            self._clock[rank] = clock
-            rep = self._check_locked()
-        if rep is not None:
-            if self._declare_cb is not None:
-                self._declare_cb(rep)
-            if raise_here:
-                from .network import DeadlockError
-
-                raise DeadlockError(
-                    f"deadlock: {rep.reason}\n{rep.describe()}", rep
-                )
-
-    def _check_locked(self) -> Optional[DeadlockReport]:
-        if self.report is not None:
-            return None  # already declared
-        net = self.network
-        if net is None or net.failing():
-            return None
-        if any(s == RUNNING for s in self._state):
-            return None
-        blocked = [r for r, s in enumerate(self._state)
-                   if s in (BLOCKED_RECV, BLOCKED_COLLECTIVE)]
-        if not blocked:
-            return None  # everyone finished: normal termination
-        gone = [r for r, s in enumerate(self._state)
-                if s in (FINISHED, FAILED)]
-        # all live ranks inside the collective rendezvous and nobody
-        # missing: the barrier is about to trip — a transient state of
-        # the final arrival, not a deadlock
-        if not gone and all(
-            self._state[r] == BLOCKED_COLLECTIVE for r in blocked
-        ):
-            return None
-        # a blocked receive with a matching in-flight message will be
-        # woken (drops only delay virtual arrival, never delivery)
-        recv_waiters = [r for r in blocked
-                        if self._state[r] == BLOCKED_RECV]
-        for r in recv_waiters:
-            if net.has_pending(r, self._detail[r]):
-                return None
-        # collectives-only deadlock requires a missing participant;
-        # with no receive waiter and no finished rank we returned above
-        rep = build_report(self._state, self._detail, self._clock,
-                           pending_of=net.pending_summary)
-        self.report = rep
-        return rep
-
-    def _snapshot_locked(self) -> DeadlockReport:
-        rep = DeadlockReport()
-        for r in range(self.nprocs):
-            rep.waits.append(RankWait(
-                r, self._state[r], self._detail[r], self._clock[r]
-            ))
-        if self.network is not None:
-            for r in range(self.nprocs):
-                keys = self.network.pending_summary(r)
-                if keys:
-                    rep.pending[r] = keys
-        return rep
-
-    def snapshot(self, reason: str) -> DeadlockReport:
-        """Best-effort report for the wall-clock timeout fallback."""
-        with self._lock:
-            if self.report is not None:
-                return self.report
-            rep = self._snapshot_locked()
-            rep.reason = reason
-            self.report = rep
-            return rep

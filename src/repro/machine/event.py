@@ -1,67 +1,76 @@
-"""Event-driven scheduler backend: rank state machine + calendar heap.
+"""The simulator's event core: rank state machine + calendar heap.
 
-The cooperative backend (:mod:`repro.machine.scheduler`) already runs
-exactly one rank at a time, but it still pays one OS thread per rank
-and two ``threading.Event`` operations per context switch — about a
-millisecond of wall clock per simulated rank before the node program
-does any work, which caps experiments at toy P.  This backend removes
-the threads entirely:
+Virtual time is dataflow-determined — a receive completes at ``max(own
+clock, sender arrival)``, a collective at ``max(clocks) + tree cost`` —
+so any dispatch order that respects the blocking structure produces
+bit-identical results.  The core therefore runs exactly **one** rank at
+a time, on the calling thread:
 
 * rank state is a structure of arrays — a numpy ``float64`` clock
   vector and an ``int8`` state-code vector, plus a plain list of
   pending-op descriptors — instead of per-rank objects with dicts;
 * the run queue is a calendar: a binary heap of ``(virtual clock,
   rank)`` entries.  A rank is pushed exactly when it becomes READY and
-  popped exactly once, so the heap never holds stale entries and the
-  pop order is provably identical to the cooperative scheduler's
-  min-scan (a blocked or ready rank's clock is frozen until it runs);
+  popped exactly once, so dispatch follows smallest ``(clock, rank)``
+  and the heap never holds stale entries outside teardown;
 * node programs are Python **generator coroutines**: they ``yield``
   only at a genuine blocking point — a receive with an empty queue, a
   collective they are not the last to enter — and a context switch is
-  one ``gen.send(None)``.  The interpreter compiles a yielding node
-  program when this backend is selected
-  (:meth:`repro.interp.interpreter.Interpreter.run_events`); plain
-  callable node programs are carried on a thread-backed fiber adapter
-  (:class:`_FiberCoroutine`) with identical semantics.
-
-Virtual-time arithmetic, fault injection, statistics, trace events, and
-the error surface are shared with or copied verbatim from the
-cooperative backend, so results are bit-identical across ``coop``,
-``threads``, and ``event`` (``tests/test_scheduler_differential.py``
-enforces it).  Deadlock is a native state here too — the heap is empty
-while some rank is still blocked — and produces the same
-:class:`~repro.machine.deadlock.DeadlockReport` reason strings.
-
-Select with ``Machine(scheduler="event")``, ``REPRO_SCHEDULER=event``,
-or ``fdc --scheduler event``.
+  one ``gen.send(None)``.  The interpreter and the generated node
+  programs compile yielding variants
+  (:meth:`repro.interp.interpreter.Interpreter.run_events`,
+  :meth:`repro.codegen.runtime.NodeRt.run_y`); plain callable node
+  programs are carried on a thread-backed fiber adapter
+  (:class:`_FiberCoroutine`) with identical semantics;
+* there are no locks in the data path — plain dicts and lists, because
+  there is never a second runner to race with — and a collective
+  completes in a **single rendezvous**: the last arrival computes
+  ``max(clocks)``, runs the completion (rank-ordered reduction,
+  broadcast consumption, exchange table snapshot), puts every waiter
+  back on the calendar, and keeps running;
+* deadlock is a native state — the heap is empty while some rank is
+  still blocked — reported through a
+  :class:`~repro.machine.deadlock.DeadlockReport`;
+* fault plans need no special handling: every ``FaultPlan`` decision is
+  a pure function of message identity and virtual time, never of
+  dispatch order.
 """
 
 from __future__ import annotations
 
 import heapq
+import inspect
 import threading
 import time
+from collections import deque
 from typing import Any, Callable, Generator, Optional
 
 import numpy as np
 
+from .costmodel import CostModel
 from .deadlock import (
     BLOCKED_COLLECTIVE,
     BLOCKED_RECV,
     FAILED,
     FINISHED,
+    READY,
     RUNNING,
     DeadlockReport,
     build_report,
 )
+from .faults import FaultPlan
 from .machine import ProcContext
 from .network import (
     AbortError,
     DeadlockError,
     SimulationError,
+    _Message,
+    arrival_time,
+    combine_reduction,
     resolve_timeout,
 )
-from .scheduler import READY, CoopCollectives, CoopNetwork
+from .stats import RunStats
+from .topology import LinkClock, Topology, UniformTopology
 
 #: dispatches between wall-clock deadline probes in the event loop —
 #: small enough that a ping-pong livelock dies within a fraction of a
@@ -91,14 +100,12 @@ _STATE_NAMES = {
 class EventScheduler:
     """The event loop: SoA rank state, the calendar heap, dispatch.
 
-    State-transition methods mirror :class:`CoopScheduler`'s interface
-    (``fail`` / ``failure_error`` / ``block_recv`` / ``unblock_recv`` /
-    ``block_collective`` / ``release_collective`` / ``finish``) so
-    :class:`EventNetwork` and :class:`EventCollectives` can reuse the
-    cooperative implementations unchanged — the one difference is that
-    blocking here *registers* the state and returns; the caller's
-    generator then yields, and :meth:`run_ranks` resumes it when the
-    rank is pushed back onto the heap.
+    :class:`EventNetwork` and :class:`EventCollectives` drive the state
+    transitions (``fail`` / ``failure_error`` / ``block_recv`` /
+    ``unblock_recv`` / ``block_collective`` / ``release_collective`` /
+    ``finish``).  Blocking *registers* the state and returns; the
+    caller's generator then yields, and :meth:`run_ranks` resumes it
+    when the rank is pushed back onto the heap.
     """
 
     def __init__(self, nprocs: int, timeout_s: Optional[float] = None,
@@ -120,7 +127,7 @@ class EventScheduler:
         self.dispatches = 0
         self.switches = 0
 
-    # -- failure surface (identical to CoopScheduler) ----------------------
+    # -- failure surface ---------------------------------------------------
 
     def fail(self) -> None:
         """A rank errored: blocked ranks become dispatchable and raise
@@ -156,8 +163,7 @@ class EventScheduler:
 
     def _declare_deadlock(self) -> None:
         """The heap ran empty with ranks still blocked: the event-loop
-        native deadlock state.  Declared once, with the same report the
-        other backends build."""
+        native deadlock state.  Declared once."""
         if self.failed or self.report is not None:
             return
         if not any(int(s) in (S_BLOCKED_RECV, S_BLOCKED_COLL)
@@ -254,6 +260,9 @@ class EventScheduler:
     # -- the event loop ----------------------------------------------------
 
     def _pop_runnable(self) -> Optional[int]:
+        """The runnable rank with the smallest ``(clock, rank)``.  No
+        simulated result may depend on this order (link contention
+        aside): the test suite swaps in a seeded-random pop to check."""
         heap = self._heap
         states = self.states
         failed = self.failed
@@ -282,11 +291,10 @@ class EventScheduler:
         # Wall-clock safety net (REPRO_SIM_TIMEOUT): the calendar loop
         # runs on the calling thread, so a runaway program that keeps
         # generating events forever — e.g. one rank ping-ponging
-        # messages while another stays blocked — would never hit the
-        # per-park timeouts the coop/threads backends enforce.  Check
-        # the deadline periodically (every _CHECK_EVERY dispatches:
-        # cheap relative to one gen.send) and tear the run down with
-        # the same DeadlockError surface the other backends raise.
+        # messages while another stays blocked — never parks anywhere a
+        # per-wait timeout could fire.  Check the deadline periodically
+        # (every _CHECK_EVERY dispatches: cheap relative to one
+        # gen.send) and tear the run down with a DeadlockError.
         deadline = time.monotonic() + self.timeout_s
         unchecked = 0
         while True:
@@ -327,30 +335,104 @@ class EventScheduler:
                 )
 
 
-class EventNetwork(CoopNetwork):
-    """Point-to-point network for the event backend.
+class EventNetwork:
+    """Point-to-point interconnect.
 
-    ``send`` is inherited unchanged from :class:`CoopNetwork` — it is
-    non-blocking (enqueue + ready the receiver), and the scheduler
-    interface it drives is identical.  The receive side is split:
+    Each destination keeps its in-flight messages in a dict keyed on
+    ``(src, tag)`` with a FIFO deque per key, so a matched receive is an
+    O(1) dict probe plus a ``deque.popleft``.  ``send`` is non-blocking
+    (enqueue + ready the receiver).  The receive side is split:
     :meth:`try_recv` performs the non-blocking match, and the blocking
     loop (retry / register-blocked / yield) lives in
     :meth:`EventProcContext.recv_y` where it can suspend.
     """
 
-    def recv(self, dst: int, src: int, tag: int, now: float,
-             origin: Optional[str] = None) -> tuple[Any, float]:
-        raise SimulationError(  # pragma: no cover - defensive
-            "EventNetwork.recv cannot block inline; "
-            "use EventProcContext.recv / recv_y"
-        )
+    def __init__(
+        self,
+        nprocs: int,
+        cost: CostModel,
+        stats: RunStats,
+        timeout_s: Optional[float] = None,
+        faults: Optional[FaultPlan] = None,
+        scheduler: Optional[EventScheduler] = None,
+        tracer: Any = None,
+        topology: Optional[Topology] = None,
+        metrics: Any = None,
+    ) -> None:
+        self.nprocs = nprocs
+        self.cost = cost
+        self.stats = stats
+        self.timeout_s = resolve_timeout(timeout_s)
+        self.faults = faults
+        self.sched = scheduler
+        self.tracer = tracer
+        self.metrics = metrics
+        self.topo = topology if topology is not None \
+            else UniformTopology(nprocs)
+        self._links = LinkClock() if self.topo.contention else None
+        self._queues: list[dict[tuple[int, int], deque[_Message]]] = [
+            {} for _ in range(nprocs)
+        ]
+        #: per-(src, dst, tag) sequence numbers for deterministic fault
+        #: identity
+        self._seq: dict[tuple[int, int, int], int] = {}
+
+    def send(
+        self, src: int, dst: int, tag: int, payload: Any, nbytes: int,
+        now: float, origin: Optional[str] = None,
+    ) -> float:
+        """Deliver a message; returns the sender's clock after the send."""
+        if self.sched.failed:
+            raise self.sched.failure_error(AbortError(
+                f"processor {src} aborted before send to {dst}"
+            ))
+        if not (0 <= dst < self.nprocs):
+            raise SimulationError(f"send to invalid processor {dst}")
+        if dst == src:
+            raise SimulationError(f"processor {src} sending to itself")
+        sender_after = now + self.cost.send_cost(nbytes)
+        available = arrival_time(self.topo, self._links, self.cost,
+                                 src, dst, nbytes, now)
+        if self.faults is not None and self.faults.affects_messages:
+            seqkey = (src, dst, tag)
+            seq = self._seq.get(seqkey, 0)
+            self._seq[seqkey] = seq + 1
+            extra, retries = self.faults.message_faults(src, dst, tag, seq)
+            if extra or retries:
+                available += extra
+                self.stats.record_fault(retries)
+                if self.tracer is not None:
+                    self.tracer.rank_event(
+                        src, "fault", now, dst=dst, tag=tag,
+                        delay=extra, retries=retries,
+                    )
+        if self.tracer is not None:
+            if self.topo.is_uniform:
+                self.tracer.rank_event(
+                    src, "net.send", now, dst=dst, tag=tag, bytes=nbytes,
+                    avail=available, origin=origin,
+                )
+            else:
+                self.tracer.rank_event(
+                    src, "net.send", now, dst=dst, tag=tag, bytes=nbytes,
+                    avail=available, origin=origin,
+                    hops=self.topo.hops(src, dst),
+                )
+        key = (src, tag)
+        q = self._queues[dst].get(key)
+        if q is None:
+            q = self._queues[dst][key] = deque()
+        q.append(_Message(src, tag, payload, nbytes, available,
+                          sent_at=now, origin=origin))
+        self.sched.unblock_recv(dst, key)
+        self.stats.record_message(nbytes)
+        return sender_after
 
     def try_recv(self, dst: int, src: int, tag: int, now: float,
                  origin: Optional[str] = None
                  ) -> Optional[tuple[Any, float]]:
         """Non-blocking matched receive: ``(payload, new clock)`` when a
-        message is deliverable, None otherwise.  Clock arithmetic and
-        the trace event are verbatim from the cooperative backend."""
+        message is deliverable, None otherwise."""
         if not (0 <= src < self.nprocs):
             raise SimulationError(f"recv from invalid processor {src}")
         key = (src, tag)
@@ -377,18 +459,129 @@ class EventNetwork(CoopNetwork):
             )
         return m.payload, t
 
+    def pending_summary(
+        self, dst: int
+    ) -> list[tuple[tuple[int, int], int]]:
+        """[(key, count)] of undelivered messages queued at *dst*."""
+        return sorted(
+            (key, len(q)) for key, q in self._queues[dst].items() if q
+        )
 
-class EventCollectives(CoopCollectives):
+
+class EventCollectives:
     """Single-rendezvous collectives as generators.
 
-    Slot bookkeeping, completion closures, virtual-time arithmetic, and
-    trace events are inherited from :class:`CoopCollectives`; only the
-    blocking mechanics differ — a non-last arrival registers its
-    blocked state and ``yield``s instead of parking a fiber.  The
-    shared result fields keep the same overwrite-safety argument: the
-    next collective cannot complete until every rank has re-entered it,
-    i.e. has already read the previous result.
+    Every participant deposits its contribution; a non-last arrival
+    registers its blocked state and ``yield``s, and the last arrival runs
+    the completion — ``max(clocks)``, the rank-ordered reduction /
+    broadcast consumption / exchange snapshot, the stats — puts everyone
+    back on the calendar, and keeps going.  The shared result slots are
+    overwrite-safe without synchronization: the *next* collective cannot
+    complete until every rank has re-entered it, which means every rank
+    has already read the previous result.
     """
+
+    def __init__(self, nprocs: int, cost: CostModel, stats: RunStats,
+                 scheduler: EventScheduler, tracer: Any = None,
+                 topology: Optional[Topology] = None,
+                 metrics: Any = None) -> None:
+        self.nprocs = nprocs
+        self.cost = cost
+        self.stats = stats
+        self.sched = scheduler
+        self.tracer = tracer
+        self.metrics = metrics
+        self.topo = topology if topology is not None \
+            else UniformTopology(nprocs)
+        self._slots: dict[str, Any] = {}
+        self._clocks = [0.0] * nprocs
+        self._arrived = 0
+        self._maxclock = 0.0
+        #: straggler rank (trace-only), overwrite-safe like ``_result``
+        self._maxrank = 0
+        self._result: Any = None
+
+    def _observe_coll(self, now: float) -> None:
+        """Metrics: virtual µs this participant waited for the
+        rendezvous to complete (call after the rendezvous returns)."""
+        self.metrics.coll_blocked.observe(max(0.0, self._maxclock - now))
+
+    def _trace_coll(self, rank: int, label: str, now: float, t: float,
+                    nbytes: int = 0, origin: Optional[str] = None) -> None:
+        """Record one participant's rendezvous span (after the
+        rendezvous returns, so ``_maxclock``/``_maxrank`` describe
+        *this* op)."""
+        self.tracer.rank_event(
+            rank, "coll", now, dur=t - now, label=label, bytes=nbytes,
+            maxclock=self._maxclock, maxrank=self._maxrank, origin=origin,
+        )
+
+    # -- slot/completion builders ------------------------------------------
+
+    def _begin_bcast(self, rank: int, root: int, payload: Any, nbytes: int,
+                     consume: Any) -> Callable[[], Any]:
+        """*consume* callbacks all run inside the completion, before any
+        participant resumes — so the root may pass a zero-copy view of
+        its own array and still mutate it freely afterwards."""
+        slot = self._slots.setdefault("bcast", {"consume": []})
+        if rank == root:
+            slot["data"] = payload
+            slot["nbytes"] = nbytes
+        if consume is not None:
+            slot["consume"].append(consume)
+
+        def complete() -> Any:
+            s = self._slots.pop("bcast")
+            data = s["data"]
+            for fn in s["consume"]:
+                fn(data)
+            self.stats.record_collective(s["nbytes"])
+            return data
+
+        return complete
+
+    def _begin_reduce(self, rank: int, value: Any, op: str,
+                      nbytes: int) -> Callable[[], Any]:
+        """Contributions combine in rank order, so floating-point
+        reductions are deterministic whatever the arrival order."""
+        self._slots.setdefault("reduce", {})[rank] = value
+
+        def complete() -> Any:
+            table = self._slots.pop("reduce")
+            values = [table[r] for r in range(self.nprocs)]
+            result = combine_reduction(op, values)
+            self.stats.record_collective(nbytes * self.nprocs)
+            return result
+
+        return complete
+
+    def _begin_exchange(self, rank: int, outgoing: dict[int, Any],
+                        nbytes_out: int) -> Callable[[], Any]:
+        """All-to-all personalized exchange (the remap runtime).  The
+        pairwise transfers are real traffic, recorded once into the
+        point-to-point message/byte counts."""
+        self._slots.setdefault("exchange", {})[rank] = (outgoing, nbytes_out)
+
+        def complete() -> Any:
+            table = self._slots.pop("exchange")
+            nmsgs = sum(len(msgs) for msgs, _nb in table.values())
+            nbytes = sum(nb for _msgs, nb in table.values())
+            if nmsgs:
+                self.stats.record_exchange(nmsgs, nbytes)
+            return table
+
+        return complete
+
+    def _incoming_of(self, rank: int) -> dict[int, Any]:
+        """Extract *rank*'s incoming payloads from an exchange result."""
+        table = self._result
+        return {
+            src: msgs[rank]
+            for src, (msgs, _nb) in table.items()
+            if rank in msgs
+        }
+
+    # -- the generator ops -------------------------------------------------
 
     def _rendezvous_y(self, rank: int, label: str, now: float,
                       complete: Callable[[], Any]
@@ -489,8 +682,6 @@ def is_event_coroutine(fn: Any) -> bool:
     ``event_coroutine`` attribute — the tag lets non-generator
     wrappers (e.g. around generated node programs) opt in explicitly.
     """
-    import inspect
-
     return bool(
         getattr(fn, "event_coroutine", False)
         or inspect.isgeneratorfunction(fn)
@@ -504,10 +695,9 @@ class _FiberCoroutine:
     (``send(None)`` resumes until the next blocking point or
     completion, raising StopIteration at the end) on top of a daemon
     thread, so node programs written as ordinary callables — tests,
-    hand-written experiments — run under the event backend unchanged.
-    Only one side runs at any moment: ``send`` wakes the fiber and
-    waits for it to park or finish, exactly the coop backend's handoff
-    discipline, so no other synchronization is needed.
+    hand-written experiments — run on the event core unchanged.  Only
+    one side runs at any moment: ``send`` wakes the fiber and waits for
+    it to park or finish, so no other synchronization is needed.
     """
 
     def __init__(self, body: Callable[[], None], name: str,
@@ -537,8 +727,8 @@ class _FiberCoroutine:
         at a blocking point: hand control back to the event loop."""
         self._parked.set()
         if not self._resume.wait(timeout=self._timeout):
-            # wall-clock safety net, mirroring CoopScheduler._park: only
-            # fires if the event loop died without tearing us down
+            # wall-clock safety net: only fires if the event loop died
+            # without tearing us down
             raise DeadlockError(
                 f"deadlock: wall-clock timeout: fiber "
                 f"{self._thread.name} waited {self._timeout:.1f}s "
@@ -567,15 +757,16 @@ class _FiberCoroutine:
 
 
 class EventProcContext(ProcContext):
-    """Node-processor context for the event backend.
+    """Node-processor context: the blocking communication ops.
 
-    Adds generator twins of the blocking communication ops
-    (``recv_y`` / ``broadcast_y`` / ``allreduce_y`` / ``barrier_y`` /
-    ``exchange_y``) that ``yield`` while blocked — the interpreter's
-    event compile path drives them with ``yield from``.  The plain
-    blocking methods remain available for fiber-carried callable node
-    programs: they drive the same generators, parking the fiber at
-    each yield, so both program styles share one implementation of the
+    :class:`~repro.machine.machine.ProcContext` holds the clock, the
+    compute charges, and the non-blocking ``send``; this subclass adds
+    the ops that may suspend.  The generator forms (``recv_y`` /
+    ``broadcast_y`` / ``allreduce_y`` / ``barrier_y`` / ``exchange_y``)
+    ``yield`` while blocked — generator node programs drive them with
+    ``yield from``.  The plain forms serve fiber-carried callable node
+    programs: they drive the same generators, parking the fiber at each
+    yield, so both program styles share one implementation of the
     virtual-time arithmetic.
     """
 

@@ -1,13 +1,12 @@
 """The simulated MIMD distributed-memory machine.
 
 A :class:`Machine` runs the same node program (SPMD) on every simulated
-processor; each node sees a :class:`ProcContext` — its rank, virtual
-clock, and communication primitives.  The default backend is the
-cooperative run-to-block scheduler (:mod:`repro.machine.scheduler`);
-``scheduler="threads"`` selects the free-running thread-per-rank oracle.
-Exceptions on any node abort the whole run: the remaining ranks are
-signalled and raise at their next network operation, every node thread
-is joined with a bound, and the *first* failure by virtual time is
+processor; each node sees a processor context — its rank, virtual
+clock, and communication primitives.  One backend drives the node
+programs: the event core (:mod:`repro.machine.event`), which runs one
+rank at a time off a ``(virtual clock, rank)`` calendar.  Exceptions on
+any node abort the whole run: the remaining ranks are torn down at
+their next network operation and the *first* failure by virtual time is
 re-raised on the caller's thread (secondary teardown aborts never shadow
 the primary error).
 
@@ -17,32 +16,20 @@ Resilience hooks:
   deterministic delay jitter, drops-with-retransmit, per-rank compute
   slowdowns, and crash-at-clock faults (``REPRO_FAULTS`` when unset);
 * ``timeout_s=`` — the wall-clock safety-net timeout
-  (``REPRO_SIM_TIMEOUT`` when unset; deadlocks are normally detected
-  instantly by the wait-for graph, long before this fires).
+  (``REPRO_SIM_TIMEOUT`` when unset; deadlocks are normally declared
+  instantly, long before this fires).
 """
 
 from __future__ import annotations
 
-import threading
 import time
 import traceback
 from typing import Any, Callable, Optional
 
 from .costmodel import CostModel, IPSC860
-from .deadlock import DeadlockDetector, DeadlockReport
+from .deadlock import DeadlockReport
 from .faults import FaultPlan
-from .network import (
-    AbortError,
-    CollectiveContext,
-    Network,
-    SimulationError,
-)
-from .scheduler import (
-    CoopCollectives,
-    CoopNetwork,
-    CoopScheduler,
-    resolve_scheduler,
-)
+from .network import AbortError, SimulationError
 from .stats import RunStats
 from .topology import Topology, resolve_topology
 from ..obs import resolve_trace
@@ -53,9 +40,16 @@ from ..obs.flightrec import (
 )
 from ..obs.metrics import SimMetrics, resolve_metrics
 
+#: the simulator's one backend (reported in RunStats, traces, metrics)
+BACKEND = "event"
+
 
 class ProcContext:
-    """One node processor: rank, virtual clock, and communication ops.
+    """One node processor: rank, virtual clock, and the non-blocking ops.
+
+    The ops that may suspend the rank (receives and collectives) live on
+    the subclass :class:`~repro.machine.event.EventProcContext`, the
+    context every rank of a :class:`Machine` run gets.
 
     Compute charges (``compute``/``loop_tick``/``guard_tick``) are
     *batched*: they accumulate exact integer counters and convert to
@@ -176,7 +170,7 @@ class ProcContext:
         self._guard_ops += ops
         self._guards += count
 
-    # -- point-to-point ------------------------------------------------------
+    # -- communication -------------------------------------------------------
 
     def send(self, dst: int, tag: int, payload: Any, nbytes: int,
              origin: Optional[str] = None) -> None:
@@ -185,72 +179,27 @@ class ProcContext:
             self.rank, dst, tag, payload, nbytes, self.clock, origin=origin
         )
 
-    def recv(self, src: int, tag: int, origin: Optional[str] = None) -> Any:
-        self._maybe_crash()
-        payload, self.clock = self.machine.network.recv(
-            self.rank, src, tag, self.clock, origin=origin
-        )
-        return payload
-
-    # -- collectives ----------------------------------------------------------
-
-    def broadcast(self, root: int, payload: Any, nbytes: int,
-                  consume: Any = None, origin: Optional[str] = None) -> Any:
-        self._maybe_crash()
-        data, self.clock = self.machine.collectives.broadcast(
-            self.rank, root, payload, nbytes, self.clock, consume=consume,
-            origin=origin
-        )
-        return data
-
-    def allreduce(self, value: Any, op: str, nbytes: int = 8,
-                  origin: Optional[str] = None) -> Any:
-        self._maybe_crash()
-        result, self.clock = self.machine.collectives.allreduce(
-            self.rank, value, op, nbytes, self.clock, origin=origin
-        )
-        return result
-
-    def barrier(self, origin: Optional[str] = None) -> None:
-        self._maybe_crash()
-        self.clock = self.machine.collectives.barrier(
-            self.rank, self.clock, origin=origin
-        )
-
-    def exchange(self, outgoing: dict[int, Any], nbytes_out: int,
-                 origin: Optional[str] = None) -> dict[int, Any]:
-        self._maybe_crash()
-        incoming, self.clock = self.machine.collectives.exchange(
-            self.rank, outgoing, nbytes_out, self.clock, origin=origin
-        )
-        return incoming
-
 
 class Machine:
     """P simulated node processors plus network and collectives.
 
-    Three interchangeable backends drive the node programs (selected via
-    ``scheduler=`` / ``REPRO_SCHEDULER``, default ``coop``):
-
-    * ``coop`` — the cooperative run-to-block scheduler
-      (:mod:`repro.machine.scheduler`): one rank executes at a time,
-      dispatched in deterministic (virtual time, rank) order, with no
-      locks and single-rendezvous collectives;
-    * ``event`` — the event-driven rank state machine
-      (:mod:`repro.machine.event`): the same dispatch order driven by a
-      calendar heap over generator coroutines, scaling to thousands of
-      ranks;
-    * ``threads`` — the free-running thread-per-rank oracle.
-
-    Results, virtual clocks, and message/byte statistics are
-    bit-identical across backends (virtual time is dataflow-determined;
-    ``tests/test_scheduler_differential.py`` enforces it).
+    The node programs run on the event core
+    (:mod:`repro.machine.event`): one rank executes at a time,
+    dispatched in deterministic ``(virtual clock, rank)`` order off a
+    calendar heap.  Generator node programs run as coroutines; plain
+    callables are carried on fibers with identical semantics.  Virtual
+    time is dataflow-determined, so results, clocks, and message/byte
+    statistics do not depend on the dispatch order
+    (``tests/test_scheduler_differential.py`` perturbs it to check).
 
     The interconnect defaults to the uniform linear cost model; pass
     ``topology=`` (a name like ``"hypercube"`` / ``"torus2d:contention"``
     or a :class:`~repro.machine.topology.Topology` instance, or set
     ``REPRO_TOPOLOGY``) for hop-aware latencies, topology-shaped
     collective trees, and optional deterministic link contention.
+
+    ``scheduler=`` is accepted for compatibility only: None or
+    ``"event"``, the one backend.
     """
 
     def __init__(
@@ -269,15 +218,13 @@ class Machine:
         self.nprocs = nprocs
         self.cost = cost
         self.faults = faults if faults is not None else FaultPlan.from_env()
-        self.scheduler = resolve_scheduler(scheduler)
-        self.topology: Topology = resolve_topology(topology, nprocs)
-        if self.topology.contention and self.scheduler == "threads":
-            # link-contention arrival times depend on send order; the
-            # free-running thread backend has no deterministic one
+        if scheduler not in (None, BACKEND):
             raise ValueError(
-                "link contention requires a deterministic scheduler "
-                "(coop or event), not threads"
+                f"unknown scheduler {scheduler!r}: the event core is the "
+                f"only simulator backend"
             )
+        self.scheduler = BACKEND
+        self.topology: Topology = resolve_topology(topology, nprocs)
         self.stats = RunStats(nprocs=nprocs, scheduler=self.scheduler,
                               topology=self.topology.describe())
         #: the tracer the caller asked for (None for untraced runs —
@@ -309,83 +256,37 @@ class Machine:
                 self.tracer.meta["topology"] = self.topology.describe()
             if self.faults is not None:
                 self.tracer.meta["faults"] = str(self.faults)
-        if self.scheduler == "coop":
-            self.detector = None
-            self._sched = CoopScheduler(nprocs, timeout_s,
-                                        tracer=self.tracer,
-                                        metrics=self.sim_metrics)
-            self.network = CoopNetwork(
-                nprocs, cost, self.stats, timeout_s,
-                faults=self.faults, scheduler=self._sched,
-                tracer=self.tracer, topology=self.topology,
-                metrics=self.sim_metrics,
-            )
-            self.collectives = CoopCollectives(
-                nprocs, cost, self.stats, self._sched, tracer=self.tracer,
-                topology=self.topology, metrics=self.sim_metrics,
-            )
-            self._sched.network = self.network
-        elif self.scheduler == "event":
-            from .event import (
-                EventCollectives,
-                EventNetwork,
-                EventScheduler,
-            )
+        # deferred: repro.machine.event subclasses ProcContext from here
+        from .event import EventCollectives, EventNetwork, EventScheduler
 
-            self.detector = None
-            self._sched = EventScheduler(nprocs, timeout_s,
-                                         tracer=self.tracer,
-                                         metrics=self.sim_metrics)
-            self.network = EventNetwork(
-                nprocs, cost, self.stats, timeout_s,
-                faults=self.faults, scheduler=self._sched,
-                tracer=self.tracer, topology=self.topology,
-                metrics=self.sim_metrics,
-            )
-            self.collectives = EventCollectives(
-                nprocs, cost, self.stats, self._sched, tracer=self.tracer,
-                topology=self.topology, metrics=self.sim_metrics,
-            )
-            self._sched.network = self.network
-        else:
-            self._sched = None
-            self.detector = DeadlockDetector(nprocs)
-            self.network = Network(
-                nprocs, cost, self.stats, timeout_s,
-                faults=self.faults, detector=self.detector,
-                tracer=self.tracer, topology=self.topology,
-                metrics=self.sim_metrics,
-            )
-            self.collectives = CollectiveContext(
-                nprocs, cost, self.stats, timeout_s,
-                detector=self.detector, network=self.network,
-                tracer=self.tracer, topology=self.topology,
-                metrics=self.sim_metrics,
-            )
-            self.detector.attach(self.network, self._declare_failure)
-
-    def _declare_failure(self, report: DeadlockReport) -> None:
-        """Deadlock declared: wake every blocked rank so the run tears
-        down (they raise DeadlockError/AbortError at their wait)."""
-        self.network.fail()
-        self.collectives.abort()
+        self._sched = EventScheduler(nprocs, timeout_s, tracer=self.tracer,
+                                     metrics=self.sim_metrics)
+        self.network = EventNetwork(
+            nprocs, cost, self.stats, timeout_s,
+            faults=self.faults, scheduler=self._sched,
+            tracer=self.tracer, topology=self.topology,
+            metrics=self.sim_metrics,
+        )
+        self.collectives = EventCollectives(
+            nprocs, cost, self.stats, self._sched, tracer=self.tracer,
+            topology=self.topology, metrics=self.sim_metrics,
+        )
+        self._sched.network = self.network
 
     @property
     def deadlock_report(self) -> Optional[DeadlockReport]:
-        if self._sched is not None:
-            return self._sched.report
-        return self.detector.report
+        return self._sched.report
 
     def run(self, node_program: Callable[[ProcContext], Any]) -> list[Any]:
         """Run *node_program* on every node; returns per-rank results.
 
         *node_program* is either one callable shared by every rank or a
         sequence of per-rank callables (e.g. generated node programs,
-        which differ per rank class).  On failure the remaining ranks
-        are aborted at their next network operation, all node threads
-        are joined with a bound, and the first error *by virtual time*
-        is re-raised (teardown aborts are only raised when no primary
-        error exists).
+        which differ per rank class).  Generator functions run as rank
+        coroutines; plain callables run on fibers.  On failure the
+        remaining ranks are aborted at their next network operation and
+        the first error *by virtual time* is re-raised (teardown aborts
+        are only raised when no primary error exists).
         """
         t0 = time.perf_counter()
         failure: Optional[BaseException] = None
@@ -395,11 +296,10 @@ class Machine:
             failure = e
             raise
         finally:
-            sched = self._sched
             self.stats.record_run(
                 self.scheduler, time.perf_counter() - t0,
-                dispatches=sched.dispatches if sched else self.nprocs,
-                switches=sched.switches if sched else 0,
+                dispatches=self._sched.dispatches,
+                switches=self._sched.switches,
             )
             if self.sim_metrics is not None:
                 self.sim_metrics.record_run(self.stats,
@@ -424,13 +324,10 @@ class Machine:
                 )
 
     def _run(self, node_program: Callable[[ProcContext], Any]) -> list[Any]:
-        if self.scheduler == "event":
-            from .event import EventProcContext
+        from .event import EventProcContext, _FiberCoroutine, \
+            is_event_coroutine
 
-            ctx_cls: Any = EventProcContext
-        else:
-            ctx_cls = ProcContext
-        contexts = [ctx_cls(r, self) for r in range(self.nprocs)]
+        contexts = [EventProcContext(r, self) for r in range(self.nprocs)]
         if isinstance(node_program, (list, tuple)):
             if len(node_program) != self.nprocs:
                 raise ValueError(
@@ -443,111 +340,45 @@ class Machine:
         results: list[Any] = [None] * self.nprocs
         #: (secondary, clock, rank, exc, tb) per failed rank
         errors: list[tuple[bool, float, int, BaseException, str]] = []
-        lock = threading.Lock()
-
-        def runner(ctx: ProcContext) -> None:
-            failed = False
-            try:
-                results[ctx.rank] = programs[ctx.rank](ctx)
-            except BaseException as e:  # noqa: BLE001 - reported to caller
-                failed = True
-                secondary = isinstance(e, AbortError)
-                with lock:
-                    errors.append(
-                        (secondary, ctx.clock, ctx.rank, e,
-                         traceback.format_exc())
-                    )
-                self.network.fail()
-                # break the collective barrier so peers don't hang
-                self.collectives.abort()
-            finally:
-                self.stats.record_proc_time(ctx.rank, ctx.clock)
-                self.stats.record_proc_work(ctx.rank, ctx.work)
-                # a finished/failed rank may leave peers unwakeable:
-                # both backends declare that deadlock immediately (the
-                # coop scheduler also hands the CPU onward here)
-                if self._sched is not None:
-                    self._sched.finish(ctx.rank, ctx.clock, failed=failed)
-                else:
-                    self.detector.finish(ctx.rank, ctx.clock, failed=failed)
-
-        leaked: list[str] = []
-        if self.scheduler == "event":
-            self._run_events(programs, contexts, results, errors, lock,
-                             runner)
-        elif self.nprocs == 1:
-            runner(contexts[0])
-        elif self._sched is not None:
-            leaked = self._sched.run_fibers(
-                [lambda c=c: runner(c) for c in contexts]
-            )
-        else:
-            threads = [
-                threading.Thread(
-                    target=runner, args=(c,), name=f"node-{c.rank}",
-                    daemon=True,
-                )
-                for c in contexts
-            ]
-            for t in threads:
-                t.start()
-            # bounded join: every rank either finishes, or raises at its
-            # next network operation once a failure is declared
-            deadline = time.monotonic() + self.network.timeout_s + 10.0
-            for t in threads:
-                t.join(timeout=max(0.1, deadline - time.monotonic()))
-            leaked = [t.name for t in threads if t.is_alive()]
-            if leaked:  # pragma: no cover - defensive: should not happen
-                self.network.fail()
-                self.collectives.abort()
-                for t in threads:
-                    t.join(timeout=1.0)
-                leaked = [t.name for t in threads if t.is_alive()]
-        if leaked and not errors:  # pragma: no cover - defensive
-            raise SimulationError(
-                f"node threads failed to terminate: {leaked}"
-            )
-        return self._raise_or_results(errors, results)
-
-    def _run_events(
-        self,
-        programs: list[Callable[[ProcContext], Any]],
-        contexts: list[ProcContext],
-        results: list[Any],
-        errors: list[tuple[bool, float, int, BaseException, str]],
-        lock: threading.Lock,
-        runner: Callable[[ProcContext], None],
-    ) -> None:
-        """Drive the run on the event backend.  Generator node programs
-        (the interpreter's event compile path, generated modules' event
-        variants, or any generator function) become rank coroutines
-        directly; plain callables are carried on thread-backed fibers
-        with identical semantics."""
-        from .event import _FiberCoroutine, is_event_coroutine
-
         sched = self._sched
+
+        def record_failure(ctx: ProcContext, e: BaseException) -> None:
+            errors.append(
+                (isinstance(e, AbortError), ctx.clock, ctx.rank, e,
+                 traceback.format_exc())
+            )
+            sched.fail()
+
+        def finish(ctx: ProcContext, failed: bool) -> None:
+            self.stats.record_proc_time(ctx.rank, ctx.clock)
+            self.stats.record_proc_work(ctx.rank, ctx.work)
+            # a finished/failed rank may leave peers unwakeable: the
+            # event loop declares that deadlock when its heap runs dry
+            sched.finish(ctx.rank, ctx.clock, failed=failed)
+
         if is_event_coroutine(programs[0]):
             def runner_gen(ctx: ProcContext):
                 failed = False
                 try:
                     results[ctx.rank] = yield from programs[ctx.rank](ctx)
-                except BaseException as e:  # noqa: BLE001 - see runner
+                except BaseException as e:  # noqa: BLE001 - reported
                     failed = True
-                    secondary = isinstance(e, AbortError)
-                    with lock:
-                        errors.append(
-                            (secondary, ctx.clock, ctx.rank, e,
-                             traceback.format_exc())
-                        )
-                    self.network.fail()
-                    self.collectives.abort()
+                    record_failure(ctx, e)
                 finally:
-                    self.stats.record_proc_time(ctx.rank, ctx.clock)
-                    self.stats.record_proc_work(ctx.rank, ctx.work)
-                    sched.finish(ctx.rank, ctx.clock, failed=failed)
+                    finish(ctx, failed)
 
             coros: list[Any] = [runner_gen(c) for c in contexts]
         else:
+            def runner(ctx: ProcContext) -> None:
+                failed = False
+                try:
+                    results[ctx.rank] = programs[ctx.rank](ctx)
+                except BaseException as e:  # noqa: BLE001 - reported
+                    failed = True
+                    record_failure(ctx, e)
+                finally:
+                    finish(ctx, failed)
+
             coros = []
             for c in contexts:
                 fiber = _FiberCoroutine(
@@ -557,6 +388,7 @@ class Machine:
                 c._fiber = fiber
                 coros.append(fiber)
         sched.run_ranks(coros)
+        return self._raise_or_results(errors, results)
 
     def _raise_or_results(
         self,

@@ -34,14 +34,14 @@ class RunStats:
     #: excluding waiting -- exposes load imbalance that collective
     #: synchronization hides in the clocks)
     proc_work: dict[int, float] = field(default_factory=dict)
-    #: scheduler-backend bookkeeping (host-side observability; never
-    #: part of the simulated quantities above)
+    #: simulator bookkeeping (host-side observability; never part of
+    #: the simulated quantities above)
     scheduler: str = ""          # backend that produced this run
     topology: str = "uniform"    # interconnect topology (+":contention")
     host_cpus: int = field(default_factory=lambda: os.cpu_count() or 1)
     wall_s: float = 0.0          # host wall clock of Machine.run
-    dispatches: int = 0          # rank dispatches (coop/event) / starts
-    switches: int = 0            # context switches (coop/event only)
+    dispatches: int = 0          # rank dispatches off the calendar
+    switches: int = 0            # context switches (rank suspensions)
     #: interpreter communication-schedule cache (resolved sections
     #: memoized per CommAction per rank)
     comm_cache_hits: int = 0

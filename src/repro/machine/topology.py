@@ -347,8 +347,10 @@ class LinkClock:
     for the message's wire time from the moment the head clears it.
     With no queueing the arrival time equals the contention-free
     estimate exactly; congestion stretches it by the queueing delays.
-    Updates are deterministic because both deterministic backends
-    (coop, event) issue sends in identical (clock, rank) order.
+    Updates are deterministic because the event core issues sends in
+    (clock, rank) dispatch order; unlike every other simulated quantity
+    they depend on that order, so the dispatch-order perturbation
+    oracle runs on the uniform topology only.
     """
 
     def __init__(self) -> None:

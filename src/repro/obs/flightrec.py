@@ -66,7 +66,7 @@ class FlightRecorder(Tracer):
         self.capacity = DEFAULT_CAPACITY if capacity is None \
             else max(1, capacity)
         #: total events offered (appends beyond capacity evict the
-        #: oldest; approximate under the thread-per-rank backend)
+        #: oldest)
         self.events_seen = 0
         super().__init__(sample=False)
         self.host_events = deque(maxlen=self.capacity)

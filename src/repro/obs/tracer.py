@@ -13,11 +13,8 @@ traced-vs-untraced differential suite):
   changes floating-point summation order and would alter clocks).
 * **low overhead** — with tracing off, each instrumentation point costs
   one ``tracer is not None`` test.  With tracing on, an event is one
-  dict construction and one list append into a per-rank list (so no
-  lock is needed even under the thread-per-rank backend: each rank's
-  list is only ever appended by code running on behalf of that rank,
-  or — for collective completions — at a rendezvous point where every
-  other participant is parked).
+  dict construction and one list append into a per-rank list (no lock:
+  the simulator runs one rank at a time).
 
 Event schema
 ------------
@@ -32,7 +29,7 @@ and ``ts`` (virtual µs); span-like events carry ``dur``.  Kinds:
 ``net.exchange``   one pairwise transfer inside an all-to-all exchange
 ``coll``           collective rendezvous span: label, seq, maxclock,
                    maxrank, bytes, origin, proc
-``sched.dispatch`` cooperative scheduler handed this rank the CPU
+``sched.dispatch`` the event core's calendar handed this rank the CPU
 ``sched.block``    rank blocked (why: recv/collective, detail)
 ``sched.unblock``  a send/rendezvous made this rank runnable again
 ``interp.vec``     vectorized block execution span: unit, var, n, ops
@@ -56,8 +53,8 @@ run's Chrome trace JSON is written to.
 Sampling
 --------
 
-Full-fidelity traces become unusable (and memory-hungry) at
-event-backend scale: P=4096 ranks each produce thousands of events.
+Full-fidelity traces become unusable (and memory-hungry) at the
+simulator's scale: P=4096 ranks each produce thousands of events.
 ``REPRO_TRACE_SAMPLE=<ranks>[:<events-per-rank>]`` bounds the trace:
 only ``<ranks>`` evenly-spaced ranks record events (rank 0 and the
 last rank always included), and each sampled rank keeps at most

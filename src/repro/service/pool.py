@@ -179,8 +179,7 @@ class WorkerPool:
             out.extend(rep["results"])
         return out
 
-    def evaluate_plans(self, source, plan_opts, scheduler: str = "event",
-                       cost: str = "ipsc860",
+    def evaluate_plans(self, source, plan_opts, cost: str = "ipsc860",
                        store_dir: Optional[str] = None,
                        deadline: Optional[float] = None) -> list[dict]:
         """Evaluate candidate distribution plans (fully-formed
@@ -197,7 +196,7 @@ class WorkerPool:
         chunks = [indexed[i::nchunks] for i in range(nchunks)]
         jobs = [{
             "op": "evaluate", "source": source, "plans": chunk,
-            "scheduler": scheduler, "cost": cost, "store_dir": store_dir,
+            "cost": cost, "store_dir": store_dir,
             "crash_flag": self.crash_flag, "hang_flag": self.hang_flag,
         } for chunk in chunks]
         replies = self._run_jobs(jobs, deadline)

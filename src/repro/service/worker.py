@@ -13,7 +13,7 @@ Jobs::
      "crash_flag": path|None, "hang_flag": path|None}
     {"op": "evaluate", "source": str,
      "plans": [{"idx": int, "opts": Options}],
-     "scheduler": str, "cost": str, "store_dir": path|None,
+     "cost": str, "store_dir": path|None,
      "crash_flag": path|None, "hang_flag": path|None}
 
 A compile job re-runs the deterministic front end from source (reaching
@@ -142,7 +142,6 @@ def _handle_evaluate(job: dict) -> dict:
         try:
             metrics = evaluate_plan(
                 sc, job["source"], plan["opts"],
-                scheduler=job.get("scheduler", "event"),
                 cost=job.get("cost", "ipsc860"),
             )
         except Exception as e:

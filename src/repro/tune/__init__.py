@@ -6,7 +6,7 @@ A traced baseline run yields the critical path and communication hot
 spots (:func:`repro.obs.objective_summary`); those prune a search over
 per-decomposition plans — BLOCK / CYCLIC / BLOCK_CYCLIC(k) per hot
 DISTRIBUTE target plus a processor-count sweep — whose candidates are
-scored on the event-backend simulator, in parallel across the compile
+scored on the simulator, in parallel across the compile
 service's worker pool, with content-addressed per-procedure summary
 reuse and a crash-safe evaluation memo keyed
 ``sha256(program ‖ options ‖ plan)``.

@@ -5,11 +5,9 @@ worker-pool ``evaluate`` op, and the base-plan profiling pass all call
 :func:`evaluate_plan`, so parallel and serial searches are guaranteed to
 score candidates identically.
 
-Evaluation always pins the **event-driven** scheduler backend (fastest
-and deterministic — the tuner's objective is simulated virtual time,
-which is scheduler-invariant anyway) and runs through the interpreter
-(``codegen=False``): virtual time is bit-identical to the codegen path,
-and skipping per-plan module generation keeps each probe cheap.
+Evaluation runs through the interpreter (``codegen=False``): virtual
+time is bit-identical to the codegen path, and skipping per-plan module
+generation keeps each probe cheap.
 Compilation goes through an incremental
 :class:`~repro.service.compiler.ServiceCompiler`, so sibling plans only
 recompile the procedures whose distribution actually changed (the
@@ -39,8 +37,7 @@ def make_eval_compiler(store_dir: Optional[str] = None):
 
 
 def evaluate_plan(compiler, source: str, opts: Options,
-                  scheduler: str = "event", cost: str = "ipsc860",
-                  trace: bool = False) -> dict:
+                  cost: str = "ipsc860", trace: bool = False) -> dict:
     """Compile *opts* (a plan already applied) and run it on the
     simulated machine; returns a JSON-ready metrics dict.
 
@@ -52,8 +49,8 @@ def evaluate_plan(compiler, source: str, opts: Options,
     """
     cost_model = COST_MODELS[cost] if isinstance(cost, str) else cost
     cp, cstats = compiler.compile(source, opts)
-    res = cp.run(cost=cost_model, scheduler=scheduler,
-                 trace=True if trace else False, codegen=False)
+    res = cp.run(cost=cost_model, trace=True if trace else False,
+                 codegen=False)
     sd = res.stats.as_dict()
     metrics = {
         "time_us": sd["time_us"],

@@ -64,15 +64,14 @@ class Plan:
 
 
 def plan_key(source: str, opts: Options, plan: Plan,
-             scheduler: str = "event", cost: str = "ipsc860") -> str:
+             cost: str = "ipsc860") -> str:
     """Content address of one evaluation: program ‖ options ‖ plan
-    (via the applied options, which embed the plan) ‖ backend ‖ cost,
-    all under :data:`MEMO_VERSION`."""
+    (via the applied options, which embed the plan) ‖ cost, all under
+    :data:`MEMO_VERSION`."""
     applied = plan.apply(opts)
     return _digest("|".join([
         MEMO_VERSION,
         _digest(source),
         repr(astuple(applied)),
-        scheduler,
         str(cost),
     ]))

@@ -1,7 +1,7 @@
 """The auto-tuner: profile-guided, budget-bounded, parallel plan search.
 
 ``autotune`` closes the paper's feedback loop: compile the program as
-written, run it traced on the event-backend simulator, and use the
+written, run it traced on the simulator, and use the
 critical path + communication hot spots to decide *which* layout knobs
 are worth turning (see :mod:`.space`).  Candidates are then scored in
 up to three budget-bounded stages — single-coordinate moves, block-
@@ -81,7 +81,6 @@ class TuneOutcome:
     records: list[EvalRecord] = field(default_factory=list)
     budget: int = 0
     workers: int = 0
-    scheduler: str = "event"
     cost: str = "ipsc860"
     evaluated: int = 0
     memo_hits: int = 0
@@ -105,7 +104,6 @@ class TuneOutcome:
             "version": MEMO_VERSION,
             "budget": self.budget,
             "workers": self.workers,
-            "scheduler": self.scheduler,
             "cost": self.cost,
             "base": self.base.as_dict(),
             "best": {
@@ -134,11 +132,10 @@ class _Evaluator:
     requested and usable, in-process otherwise; both paths call the
     same :func:`evaluate_plan`."""
 
-    def __init__(self, source: str, opts: Options, scheduler: str,
-                 cost: str, workers: int, compiler) -> None:
+    def __init__(self, source: str, opts: Options, cost: str,
+                 workers: int, compiler) -> None:
         self.source = source
         self.opts = opts
-        self.scheduler = scheduler
         self.cost = cost
         self.workers = workers
         self.compiler = compiler        # in-process fallback/serial
@@ -165,8 +162,8 @@ class _Evaluator:
 
             try:
                 return self.pool.evaluate_plans(
-                    self.source, applied, scheduler=self.scheduler,
-                    cost=self.cost, store_dir=self.store_dir,
+                    self.source, applied, cost=self.cost,
+                    store_dir=self.store_dir,
                 )
             except ServiceError:
                 pass  # degrade to the identical serial sweep
@@ -174,8 +171,7 @@ class _Evaluator:
         for o in applied:
             try:
                 out.append(evaluate_plan(
-                    self.compiler, self.source, o,
-                    scheduler=self.scheduler, cost=self.cost,
+                    self.compiler, self.source, o, cost=self.cost,
                 ))
             except Exception as e:
                 out.append({"error": f"{type(e).__name__}: {e}"})
@@ -184,7 +180,7 @@ class _Evaluator:
 
 def autotune(source: str, opts: Optional[Options] = None,
              budget: int = 32, workers: Optional[int] = None,
-             memo_dir: Optional[str] = None, scheduler: str = "event",
+             memo_dir: Optional[str] = None,
              cost: str = "ipsc860") -> TuneOutcome:
     """Search distribution plans for *source* under *opts*; returns the
     :class:`TuneOutcome` whose ``best`` plan (possibly the as-written
@@ -207,15 +203,14 @@ def autotune(source: str, opts: Optional[Options] = None,
     # the pruning signal (comm share, hot communication sites)
     base_plan = Plan(opts.nprocs, (), label="as-written")
     base_metrics = evaluate_plan(compiler, source, base_plan.apply(opts),
-                                 scheduler=scheduler, cost=cost,
+                                 cost=cost,
                                  trace=True)
     base = EvalRecord(base_plan, base_metrics)
     left = budget - 1
 
     space = build_space(source, base_metrics, opts)
     objective = base_metrics.get("objective", {})
-    evaluator = _Evaluator(source, opts, scheduler, cost, workers,
-                           compiler)
+    evaluator = _Evaluator(source, opts, cost, workers, compiler)
     records: list[EvalRecord] = []
     seen = {base_plan}
     evaluated = 1
@@ -230,7 +225,7 @@ def autotune(source: str, opts: Optional[Options] = None,
             if p in seen:
                 continue
             seen.add(p)
-            keys[p] = plan_key(source, opts, p, scheduler, cost)
+            keys[p] = plan_key(source, opts, p, cost)
             hit = memo.load(keys[p])
             if hit is not None:
                 memo_hits += 1
@@ -269,7 +264,6 @@ def autotune(source: str, opts: Optional[Options] = None,
         records=records,
         budget=budget,
         workers=workers,
-        scheduler=scheduler,
         cost=cost,
         evaluated=evaluated,
         memo_hits=memo_hits,

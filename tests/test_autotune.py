@@ -66,7 +66,6 @@ class TestPlanKeys:
         assert plan_key(
             SRC, OPTS, Plan(8, (DistOverride("x", (("cyclic", None),)),))
         ) != base
-        assert plan_key(SRC, OPTS, p, scheduler="coop") != base
         assert plan_key(SRC, OPTS, p, cost="free") != base
 
     def test_label_is_not_identity(self):
@@ -251,7 +250,7 @@ class TestTunedPlanCorrectness:
 
         out = autotune(SRC, OPTS, budget=8, workers=0)
         cp = compile_program(SRC, out.best.apply(OPTS))
-        res = cp.run(cost=IPSC860, scheduler="event", codegen=False,
+        res = cp.run(cost=IPSC860, codegen=False,
                      timeout_s=60.0)
         assert res.stats.time_us == pytest.approx(
             out.best_metrics["time_us"], rel=0, abs=1e-9

@@ -2,8 +2,10 @@
 
 The generated path must be an *invisible* perf optimization: per-rank
 arrays, virtual clocks, delivery statistics, and printed output are
-bit-identical to the closure-tree interpreter on every scheduler
-backend, under fault injection, with and without vectorization — and
+bit-identical to the closure-tree interpreter in every execution leg
+(``tests/legs.py``: generator variants, plain variants on fibers,
+perturbed dispatch order), under fault injection, with and without
+vectorization — and
 every cache malfunction (poisoned entry, unreadable file, stale
 generator version) silently regenerates instead of failing or, worse,
 executing the wrong module.
@@ -35,6 +37,8 @@ from repro.lang import ast as A
 from repro.machine import FaultPlan
 from repro.obs import Tracer
 
+from .legs import leg
+
 STAT_FIELDS = (
     "messages", "bytes", "collectives", "collective_bytes",
     "remaps", "remap_bytes", "guards",
@@ -65,9 +69,10 @@ def _chaos_plan(seed: int) -> FaultPlan:
                      drop_prob=0.1, retry_timeout_us=50.0)
 
 
-def _run(cp, init, scheduler, **kw):
+def _run(cp, init, leg_name, **kw):
     extra = {"init_fn": init} if init is not None else {}
-    return cp.run(timeout_s=30.0, scheduler=scheduler, **extra, **kw)
+    with leg(leg_name):
+        return cp.run(timeout_s=30.0, **extra, **kw)
 
 
 def _assert_identical(a, b, label):
@@ -84,7 +89,7 @@ def _assert_identical(a, b, label):
 
 
 # ---------------------------------------------------------------------------
-# bit-identity: generated vs interpreter, all backends, under faults
+# bit-identity: generated vs interpreter, every leg, under faults
 # ---------------------------------------------------------------------------
 
 
@@ -166,7 +171,7 @@ def test_warm_run_skips_generation(codegen_tmp, monkeypatch):
 def test_run_surfaces_codegen_counters(codegen_tmp):
     cp = compile_program(stencil1d_source(64, 2),
                          Options(nprocs=4, mode=Mode.INTER))
-    res = _run(cp, None, "coop", codegen=True)
+    res = _run(cp, None, "event", codegen=True)
     s = res.stats
     ncls = len(rank_classes(4))
     assert s.codegen_cache_hits + s.codegen_cache_misses == ncls
@@ -178,11 +183,11 @@ def test_run_surfaces_codegen_counters(codegen_tmp):
         assert key in d
     assert "codegen=" in s.sched_summary()
     # second run: every module comes from cache
-    res2 = _run(cp, None, "coop", codegen=True)
+    res2 = _run(cp, None, "event", codegen=True)
     assert res2.stats.codegen_cache_hits == ncls
     assert res2.stats.codegen_cache_misses == 0
     # the interpreter-only path records nothing
-    res3 = _run(cp, None, "coop", codegen=False)
+    res3 = _run(cp, None, "event", codegen=False)
     assert res3.stats.codegen_cache_hits == 0
     assert res3.stats.codegen_cache_misses == 0
 
@@ -205,8 +210,8 @@ def test_poisoned_disk_entry_regenerated(codegen_tmp):
     gen2, hits, misses = get_generated(cp.program, 4, True)
     assert misses >= 1  # the poisoned class was regenerated
     assert open(path).read() == src  # and the entry was healed
-    ref = _run(cp, None, "coop", codegen=False)
-    _assert_identical(ref, _run(cp, None, "coop", codegen=True),
+    ref = _run(cp, None, "event", codegen=False)
+    _assert_identical(ref, _run(cp, None, "event", codegen=True),
                       "post-poison")
 
 
@@ -239,8 +244,8 @@ def test_unreadable_entry_regenerated(codegen_tmp):
     os.makedirs(path, exist_ok=True)  # open() -> IsADirectoryError
     gen, hits, misses = get_generated(cp.program, 4, True)
     assert misses >= 1  # the unreadable class regenerated
-    ref = _run(cp, None, "coop", codegen=False)
-    _assert_identical(ref, _run(cp, None, "coop", codegen=True),
+    ref = _run(cp, None, "event", codegen=False)
+    _assert_identical(ref, _run(cp, None, "event", codegen=True),
                       "unreadable-entry")
 
 
@@ -268,14 +273,14 @@ def test_demotion_falls_back_and_traces(codegen_tmp, monkeypatch):
     cp = compile_program(stencil1d_source(64, 2),
                          Options(nprocs=4, mode=Mode.INTER))
     tracer = Tracer()
-    gen_res = _run(cp, None, "coop", codegen=True, trace=tracer)
+    gen_res = _run(cp, None, "event", codegen=True, trace=tracer)
     assert gen_res.stats.codegen_demotions > 0
     names = [e["name"] for e in tracer.host_events
              if e["kind"] == "compile.decision"]
     assert "codegen-demotion" in names
     monkeypatch.setattr(emit_mod, "UNSUPPORTED_STMTS", ())
     reset_memory()
-    ref = _run(cp, None, "coop", codegen=False)
+    ref = _run(cp, None, "event", codegen=False)
     _assert_identical(ref, gen_res, "demoted-vs-interpreter")
 
 

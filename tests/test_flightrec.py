@@ -3,7 +3,7 @@
 The recorder must stay bounded (O(P · capacity) memory no matter how
 long the run), attach automatically to untraced runs without leaking
 into ``SPMDResult.trace``, and — when ``REPRO_POSTMORTEM_DIR`` is set —
-a run that dies (deadlock on any backend, crashed service worker) must
+a run that dies (deadlock in any execution leg, crashed service worker) must
 leave one complete JSON bundle behind.
 """
 
@@ -26,9 +26,8 @@ from repro.obs.flightrec import (
 from repro.obs.metrics import MetricsRegistry
 from repro.service import ServiceCompiler, WorkerPool
 
+from .legs import LEGS, leg, node_program
 from .test_service import BASE
-
-SCHEDULERS = ("coop", "threads", "event")
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +119,10 @@ class TestDumpPostmortem:
         assert dump_postmortem("unit-test") is None
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@pytest.mark.parametrize("leg_name", LEGS)
 class TestDeadlockBundle:
     def test_deadlock_dumps_bundle(self, tmp_path, monkeypatch,
-                                   scheduler):
+                                   leg_name):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         monkeypatch.delenv("REPRO_FLIGHTREC", raising=False)
         monkeypatch.setenv("REPRO_POSTMORTEM_DIR", str(tmp_path))
@@ -132,11 +131,13 @@ class TestDeadlockBundle:
             if ctx.rank == 0:
                 ctx.send(1, 7, "other", 8)  # tag 7, never awaited
             else:
-                ctx.recv(0, 8)  # tag 8, never sent
+                yield from ctx.recv_y(0, 8)  # tag 8, never sent
 
-        with pytest.raises(SimulationError, match="deadlock|aborted"):
-            Machine(2, FREE, timeout_s=10.0,
-                    scheduler=scheduler).run(prog)
+        with pytest.raises(SimulationError, match="deadlock|aborted"), \
+                leg(leg_name):
+            Machine(2, FREE, timeout_s=10.0).run(
+                node_program(prog, leg_name)
+            )
         bundle = _load_bundle(tmp_path, "simulation-error")
         assert bundle["kind"] == "simulation-error"
         assert bundle["error"]["type"] in ("SimulationError",
@@ -149,13 +150,13 @@ class TestDeadlockBundle:
         assert bundle["events"]["events_seen"] > 0
         assert bundle["events"]["ranks"]
         assert bundle["stats"]["nprocs"] == 2
-        assert bundle["extra"]["scheduler"] == scheduler
+        assert bundle["extra"]["scheduler"] == "event"
 
 
 class TestEventGeneratorBundle:
     def test_generator_programs_dump_too(self, tmp_path, monkeypatch):
-        """The event backend's native program style — generator
-        coroutines — takes the same postmortem path."""
+        """Generator coroutines handed straight to ``Machine.run`` take
+        the same postmortem path."""
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         monkeypatch.delenv("REPRO_FLIGHTREC", raising=False)
         monkeypatch.setenv("REPRO_POSTMORTEM_DIR", str(tmp_path))
@@ -167,7 +168,7 @@ class TestEventGeneratorBundle:
                 yield from ctx.recv_y(0, 8)  # never sent
 
         with pytest.raises(SimulationError, match="deadlock|aborted"):
-            Machine(2, FREE, timeout_s=10.0, scheduler="event").run(prog)
+            Machine(2, FREE, timeout_s=10.0).run(prog)
         bundle = _load_bundle(tmp_path, "simulation-error")
         assert bundle["deadlock"] is not None
         assert bundle["events"]["events_seen"] > 0

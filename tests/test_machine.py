@@ -9,13 +9,14 @@ import pytest
 from repro.machine import (
     FREE,
     IPSC860,
-    SCHEDULERS,
     CostModel,
     FaultPlan,
     Machine,
     SimulationError,
 )
 from repro.machine.network import resolve_timeout
+
+from .legs import LEGS, leg, node_program
 
 
 def node_threads():
@@ -259,21 +260,28 @@ class TestCollectives:
 
 
 class TestDeadlockDiagnostics:
-    """Deadlocks are declared the instant they become true — by the
-    wait-for graph on the thread backend, natively ("no rank runnable")
-    on the cooperative scheduler — with identical structured reports.
-    With a 60 s safety-net timeout, each case must still fail well
-    under a second on both backends."""
+    """Deadlocks are declared the instant they become true — natively,
+    as "no rank runnable" on the event core's calendar — with identical
+    structured reports in every execution leg (generators, plain
+    callables on fibers, perturbed dispatch order).  With a 60 s
+    safety-net timeout, each case must still fail well under a second.
+    The node programs are generators; the fiber legs drive them as
+    plain callables."""
 
-    @pytest.fixture(autouse=True, params=SCHEDULERS, ids=list(SCHEDULERS))
-    def _backend(self, request):
-        self.scheduler = request.param
+    @pytest.fixture(autouse=True, params=LEGS, ids=list(LEGS))
+    def _leg(self, request):
+        self.leg = request.param
+
+    def _machine_run(self, nprocs, prog, **kw):
+        with leg(self.leg):
+            return Machine(nprocs, FREE, **kw).run(
+                node_program(prog, self.leg)
+            )
 
     def _deadlock(self, nprocs, prog):
         t0 = time.monotonic()
         with pytest.raises(SimulationError) as ei:
-            Machine(nprocs, FREE, timeout_s=60.0,
-                    scheduler=self.scheduler).run(prog)
+            self._machine_run(nprocs, prog, timeout_s=60.0)
         assert time.monotonic() - t0 < 1.0, "detection was not instant"
         assert not node_threads(), "leaked node threads"
         report = ei.value.report
@@ -283,7 +291,7 @@ class TestDeadlockDiagnostics:
     def test_recv_with_no_sender(self):
         def prog(ctx):
             if ctx.rank == 2:
-                ctx.recv(0, 42)  # never sent
+                yield from ctx.recv_y(0, 42)  # never sent
 
         err, rep = self._deadlock(3, prog)
         assert rep.blocked_ranks == [2]
@@ -293,7 +301,7 @@ class TestDeadlockDiagnostics:
     def test_mismatched_barrier_membership(self):
         def prog(ctx):
             if ctx.rank != 0:  # rank 0 skips the barrier and finishes
-                ctx.barrier()
+                yield from ctx.barrier_y()
 
         _, rep = self._deadlock(3, prog)
         assert rep.blocked_ranks == [1, 2]
@@ -305,7 +313,7 @@ class TestDeadlockDiagnostics:
             if ctx.rank == 0:
                 ctx.send(1, 7, "payload", 8)
             else:
-                ctx.recv(0, 8)  # tag 8 never sent
+                yield from ctx.recv_y(0, 8)  # tag 8 never sent
 
         _, rep = self._deadlock(2, prog)
         assert rep.awaited[1] == (0, 8)
@@ -316,7 +324,7 @@ class TestDeadlockDiagnostics:
         """Two ranks each waiting on the other: a wait-for cycle."""
 
         def prog(ctx):
-            ctx.recv(1 - ctx.rank, 0)
+            yield from ctx.recv_y(1 - ctx.rank, 0)
 
         _, rep = self._deadlock(2, prog)
         assert rep.blocked_ranks == [0, 1]
@@ -327,7 +335,7 @@ class TestDeadlockDiagnostics:
 
         def prog(ctx):
             if ctx.rank == 1:
-                ctx.recv(0, 0)
+                yield from ctx.recv_y(0, 0)
 
         _, rep = self._deadlock(2, prog)
         waits = {w.rank: w.state for w in rep.waits}
@@ -339,9 +347,9 @@ class TestDeadlockDiagnostics:
 
         def prog(ctx):
             if ctx.rank == 0:
-                ctx.barrier()
+                yield from ctx.barrier_y()
             else:
-                ctx.recv(0, 9)
+                yield from ctx.recv_y(0, 9)
 
         _, rep = self._deadlock(2, prog)
         assert rep.awaited == {0: "barrier", 1: (0, 9)}
@@ -355,19 +363,18 @@ class TestDeadlockDiagnostics:
                 if ctx.rank == 0:
                     ctx.send(1, i, i, 8)
                 elif ctx.rank == 1:
-                    assert ctx.recv(0, i) == i
-                ctx.barrier()
+                    assert (yield from ctx.recv_y(0, i)) == i
+                yield from ctx.barrier_y()
             return ctx.rank
 
         for _ in range(5):
-            assert Machine(3, FREE,
-                           scheduler=self.scheduler).run(prog) == [0, 1, 2]
+            assert self._machine_run(3, prog) == [0, 1, 2]
         assert not node_threads()
 
     def test_report_describe_lists_every_rank(self):
         def prog(ctx):
             if ctx.rank == 0:
-                ctx.recv(3, 1)
+                yield from ctx.recv_y(3, 1)
 
         _, rep = self._deadlock(4, prog)
         text = rep.describe()
@@ -396,10 +403,10 @@ class TestTimeoutConfig:
 
 
 class TestEventBackendTimeout:
-    """Regression: the event backend runs the calendar loop on the
-    calling thread, so a runaway (livelocking) node program used to
-    escape the REPRO_SIM_TIMEOUT safety net the coop/threads backends
-    enforce via per-park timeouts.  The loop now checks the wall-clock
+    """Regression: the event core runs the calendar loop on the calling
+    thread, so a runaway (livelocking) node program never parks where a
+    per-wait timeout could fire and used to escape the
+    REPRO_SIM_TIMEOUT safety net.  The loop now checks the wall-clock
     deadline periodically."""
 
     def test_livelock_hits_wall_clock_timeout(self):
@@ -416,7 +423,7 @@ class TestEventBackendTimeout:
 
         t0 = time.monotonic()
         with pytest.raises(SimulationError) as ei:
-            Machine(2, FREE, scheduler="event", timeout_s=0.5).run(prog)
+            Machine(2, FREE, timeout_s=0.5).run(prog)
         assert time.monotonic() - t0 < 30
         assert "timeout" in str(ei.value)
         # the teardown must not leak fiber threads (they'd trip later
@@ -434,8 +441,7 @@ class TestEventBackendTimeout:
                 ctx.recv(peer, i)
             return ctx.rank
 
-        assert Machine(2, FREE, scheduler="event",
-                       timeout_s=20.0).run(prog) == [0, 1]
+        assert Machine(2, FREE, timeout_s=20.0).run(prog) == [0, 1]
 
 
 class TestFaultInjection:

@@ -4,8 +4,8 @@ Registry semantics (labels, histogram quantiles, both exposition
 formats, mirror adoption), the enabling chain (``REPRO_METRICS`` /
 ``metrics=``), and — the load-bearing contract — the metrics-on/off
 differential: instrumenting a run must leave results, virtual clocks,
-and statistics bit-identical on every scheduler backend and execution
-path.
+and statistics bit-identical in every execution leg (``tests/legs.py``)
+and execution path.
 """
 
 from __future__ import annotations
@@ -27,11 +27,12 @@ from repro.obs.metrics import (
     resolve_metrics,
 )
 
+from .legs import LEGS, leg
+
 SRC = stencil1d_source(64, 2)
 OPTS = Options(nprocs=4, mode=Mode.INTER)
 
-GRID = [(s, v) for s in ("coop", "threads", "event")
-        for v in (False, True)]
+GRID = [(s, v) for s in LEGS for v in (False, True)]
 GRID_IDS = [f"{s}-{'vec' if v else 'scalar'}" for s, v in GRID]
 
 
@@ -170,17 +171,17 @@ class TestResolve:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("scheduler,vectorize", GRID, ids=GRID_IDS)
+@pytest.mark.parametrize("leg_name,vectorize", GRID, ids=GRID_IDS)
 class TestSimulatorMetrics:
-    def test_run_records_families(self, scheduler, vectorize):
+    def test_run_records_families(self, leg_name, vectorize):
         reg = MetricsRegistry()
         cp = compile_program(SRC, OPTS)
-        res = cp.run(scheduler=scheduler, vectorize=vectorize,
-                     metrics=reg)
+        with leg(leg_name):
+            res = cp.run(vectorize=vectorize, metrics=reg)
         snap = reg.snapshot()
         runs = {tuple(sorted(v["labels"].items())): v["value"]
                 for v in snap["repro_sim_runs_total"]["values"]}
-        assert runs[(("backend", scheduler), ("outcome", "ok"))] == 1.0
+        assert runs[(("backend", "event"), ("outcome", "ok"))] == 1.0
         events = {v["labels"]["event"]: v["value"]
                   for v in snap["repro_sim_events_total"]["values"]}
         assert events["messages"] == res.stats.messages
@@ -197,14 +198,14 @@ class TestSimulatorMetrics:
         assert res.stats.as_dict()["metrics"] == res.stats.metrics
         assert res.trace is None
 
-    def test_on_off_bit_identity(self, scheduler, vectorize):
+    def test_on_off_bit_identity(self, leg_name, vectorize):
         """The whole point: attaching metrics must not perturb the
         simulation — results, clocks, and stats stay bit-identical."""
         cp = compile_program(SRC, OPTS)
-        off = cp.run(scheduler=scheduler, vectorize=vectorize,
-                     metrics=False)
-        on = cp.run(scheduler=scheduler, vectorize=vectorize,
-                    metrics=MetricsRegistry())
+        with leg(leg_name):
+            off = cp.run(vectorize=vectorize, metrics=False)
+        with leg(leg_name):
+            on = cp.run(vectorize=vectorize, metrics=MetricsRegistry())
         assert np.array_equal(off.gathered("x"), on.gathered("x"))
         a, b = off.stats.as_dict(), on.stats.as_dict()
         assert a["proc_times"] == b["proc_times"]  # exact virtual clocks

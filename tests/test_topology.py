@@ -8,13 +8,14 @@ Covers the satellite fixes and the new interconnect layer:
 * per-topology ``hops``/``link_path`` structure (hypercube e-cube
   routing, mesh/torus dimension order, fat-tree up-over-down);
 * topology-aware collective trees and hop-charged transfer times;
-* deterministic link-contention serialization (``LinkClock``) and its
-  rejection on the nondeterministic thread backend;
+* deterministic link-contention serialization (``LinkClock``);
 * ``resolve_topology`` parsing: names, ``:contention`` flags,
   ``REPRO_TOPOLOGY``, instance pass-through, and error cases;
 * end-to-end: runs under every topology produce the same arrays and
-  message counts as uniform — only virtual time may differ — and
-  coop/event agree bit for bit under contention.
+  message counts as uniform — only virtual time may differ — and the
+  generator and fiber-carried program shapes (the ``event`` and
+  ``coop`` legs of ``tests/legs.py``) agree bit for bit under
+  contention.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from repro.machine import (
     resolve_topology,
     tree_stages,
 )
+
+from .legs import leg
 
 ALL_NAMES = ["uniform", "hypercube", "mesh2d", "torus2d", "fattree"]
 
@@ -253,13 +256,6 @@ class TestResolveTopology:
         with pytest.raises(ValueError, match="unknown topology flag"):
             resolve_topology("mesh2d:adaptive", 4)
 
-    def test_threads_rejects_contention(self):
-        with pytest.raises(ValueError, match="deterministic scheduler"):
-            Machine(4, scheduler="threads", topology="mesh2d:contention")
-        # without contention, threads + topology is fine
-        m = Machine(4, scheduler="threads", topology="mesh2d")
-        assert m.topology.name == "mesh2d"
-
 
 def _ping(ctx):
     """Rank 0 sends 64 B to the last rank; everyone barriers."""
@@ -308,16 +304,19 @@ class TestMachineIntegration:
                              ["hypercube:contention",
                               "torus2d:contention"])
     def test_contention_bit_identical_coop_vs_event(self, topology):
-        """Contention arrival times depend on send order; both
-        deterministic backends must produce the same order and thus
-        identical virtual clocks."""
+        """Contention arrival times depend on send order; plain
+        callables on fibers (``coop`` leg) and generators (``event``
+        leg) are dispatched in the same (clock, rank) order and so must
+        produce identical virtual clocks."""
         cp = compile_program(stencil1d_source(64, 2),
                              Options(nprocs=4, mode=Mode.INTER))
-        a = cp.run(timeout_s=30.0, scheduler="coop", topology=topology)
-        b = cp.run(timeout_s=30.0, scheduler="event", topology=topology)
+        with leg("coop"):
+            a = cp.run(timeout_s=30.0, topology=topology)
+        b = cp.run(timeout_s=30.0, topology=topology)
         assert a.stats.proc_times == b.stats.proc_times
         assert a.stats.messages == b.stats.messages
         assert np.array_equal(a.gathered("x"), b.gathered("x"))
-        # and each backend repeats itself exactly
-        a2 = cp.run(timeout_s=30.0, scheduler="coop", topology=topology)
+        # and each shape repeats itself exactly
+        with leg("coop"):
+            a2 = cp.run(timeout_s=30.0, topology=topology)
         assert a.stats.proc_times == a2.stats.proc_times

@@ -30,22 +30,26 @@ from repro.obs import (
     resolve_trace,
 )
 
+from .legs import leg
+
 RANK_KINDS = {
     "net.send", "net.recv", "net.exchange", "coll",
     "sched.dispatch", "sched.block", "sched.unblock",
     "interp.vec", "interp.cache", "fault",
 }
 
+#: fiber-carried legs (see tests/legs.py); the generator leg is the
+#: default of every other traced run here
 GRID = [(s, v) for s in ("coop", "threads") for v in (False, True)]
 GRID_IDS = [f"{s}-{'vec' if v else 'scalar'}" for s, v in GRID]
 
 
-def _traced_run(src, *, scheduler="coop", vectorize=False, init_fn=None,
+def _traced_run(src, *, leg_name="event", vectorize=False, init_fn=None,
                 nprocs=4, mode=Mode.INTER):
     cp = compile_program(src, Options(nprocs=nprocs, mode=mode))
     extra = {"init_fn": init_fn} if init_fn is not None else {}
-    return cp.run(trace=True, scheduler=scheduler, vectorize=vectorize,
-                  **extra)
+    with leg(leg_name):
+        return cp.run(trace=True, vectorize=vectorize, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +94,10 @@ class TestResolve:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("scheduler,vectorize", GRID, ids=GRID_IDS)
+@pytest.mark.parametrize("leg_name,vectorize", GRID, ids=GRID_IDS)
 class TestRankEvents:
-    def test_schema_and_monotone_clocks(self, scheduler, vectorize):
-        res = _traced_run(stencil1d_source(64, 2), scheduler=scheduler,
+    def test_schema_and_monotone_clocks(self, leg_name, vectorize):
+        res = _traced_run(stencil1d_source(64, 2), leg_name=leg_name,
                           vectorize=vectorize)
         tr = res.trace
         assert isinstance(tr, Tracer)
@@ -110,8 +114,8 @@ class TestRankEvents:
                     f"rank {rank}: non-monotone virtual time"
                 last = ev["ts"]
 
-    def test_message_lifecycle_fields(self, scheduler, vectorize):
-        res = _traced_run(stencil1d_source(64, 2), scheduler=scheduler,
+    def test_message_lifecycle_fields(self, leg_name, vectorize):
+        res = _traced_run(stencil1d_source(64, 2), leg_name=leg_name,
                           vectorize=vectorize)
         tr = res.trace
         sends = tr.events("net.send")
@@ -128,17 +132,14 @@ class TestRankEvents:
             assert ev["wait"] >= 0.0
             assert ev["ts"] + ev["dur"] >= ev["avail"]
 
-    def test_scheduler_and_interp_events(self, scheduler, vectorize):
-        res = _traced_run(stencil1d_source(64, 2), scheduler=scheduler,
+    def test_scheduler_and_interp_events(self, leg_name, vectorize):
+        res = _traced_run(stencil1d_source(64, 2), leg_name=leg_name,
                           vectorize=vectorize)
         tr = res.trace
         sched_evs = tr.events("sched.dispatch")
-        if scheduler == "coop":
-            # one dispatch per scheduler hand-off, as counted by stats
-            assert len(sched_evs) == res.stats.dispatches
-            assert tr.events("sched.block")
-        else:
-            assert not sched_evs  # thread oracle has no dispatcher
+        # one dispatch per scheduler hand-off, as counted by stats
+        assert len(sched_evs) == res.stats.dispatches
+        assert tr.events("sched.block")
         vec_evs = tr.events("interp.vec")
         if vectorize:
             assert vec_evs
@@ -279,9 +280,9 @@ class TestProfile:
             assert row["count"] > 0 and row["bytes"] >= 0
             assert row["proc"] != "?"  # origin carries the procedure
 
-    @pytest.mark.parametrize("scheduler,vectorize", GRID, ids=GRID_IDS)
-    def test_critical_path_tiles_makespan(self, scheduler, vectorize):
-        res = _traced_run(dgefa_source(16), scheduler=scheduler,
+    @pytest.mark.parametrize("leg_name,vectorize", GRID, ids=GRID_IDS)
+    def test_critical_path_tiles_makespan(self, leg_name, vectorize):
+        res = _traced_run(dgefa_source(16), leg_name=leg_name,
                           vectorize=vectorize,
                           init_fn=make_dgefa_init(16))
         segs = critical_path(res.trace, res.stats.proc_times)

@@ -4,10 +4,10 @@ The tracer's design constraint is *bit-identical-off*: attaching a
 Tracer only reads simulation state (virtual timestamps at
 non-observation points come from ``ProcContext.clock_estimate``, which
 previews the batched-charge flush without performing it).  This suite
-runs every application with and without tracing — across both
-schedulers, both execution paths, and under a chaos fault plan — and
-requires identical arrays, per-rank virtual clocks, and delivery
-statistics.
+runs every application with and without tracing — in every execution
+leg (``tests/legs.py``), on both execution paths, and under a chaos
+fault plan — and requires identical arrays, per-rank virtual clocks,
+and delivery statistics.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from repro.apps.wave import wave_source
 from repro.core.driver import compile_program
 from repro.core.options import Mode, Options
 from repro.machine import FaultPlan
+
+from .legs import LEGS, leg
 
 STAT_FIELDS = (
     "messages", "bytes", "collectives", "collective_bytes",
@@ -40,9 +42,10 @@ CASES = [
 ]
 
 
-def _run(cp, init, *, trace, **kw):
+def _run(cp, init, *, trace, leg_name="event", **kw):
     extra = {"init_fn": init} if init is not None else {}
-    return cp.run(timeout_s=30.0, trace=trace, **extra, **kw)
+    with leg(leg_name):
+        return cp.run(timeout_s=30.0, trace=trace, **extra, **kw)
 
 
 def _assert_invisible(off, on, label):
@@ -61,30 +64,30 @@ def _assert_invisible(off, on, label):
 
 @pytest.mark.parametrize("vectorize", [False, True],
                          ids=["scalar", "vectorized"])
-@pytest.mark.parametrize("scheduler", ["coop", "threads"])
+@pytest.mark.parametrize("leg_name", LEGS)
 @pytest.mark.parametrize(
     "src,init", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
 )
-def test_tracing_is_invisible(src, init, scheduler, vectorize):
+def test_tracing_is_invisible(src, init, leg_name, vectorize):
     cp = compile_program(src, Options(nprocs=4, mode=Mode.INTER))
-    off = _run(cp, init, trace=False, scheduler=scheduler,
+    off = _run(cp, init, trace=False, leg_name=leg_name,
                vectorize=vectorize)
-    on = _run(cp, init, trace=True, scheduler=scheduler,
+    on = _run(cp, init, trace=True, leg_name=leg_name,
               vectorize=vectorize)
-    _assert_invisible(off, on, f"{scheduler} vec={vectorize}")
+    _assert_invisible(off, on, f"{leg_name} vec={vectorize}")
 
 
-@pytest.mark.parametrize("scheduler", ["coop", "threads"])
-def test_tracing_is_invisible_under_faults(scheduler):
+@pytest.mark.parametrize("leg_name", LEGS)
+def test_tracing_is_invisible_under_faults(leg_name):
     """Fault events are recorded from the same deterministic draws the
     untraced run makes — injection must not consume extra randomness."""
     cp = compile_program(stencil1d_source(128, 4),
                          Options(nprocs=4, mode=Mode.INTER))
     plan = FaultPlan(seed=2, delay_prob=0.5, delay_max_us=80.0,
                      drop_prob=0.1, retry_timeout_us=50.0)
-    off = _run(cp, None, trace=False, scheduler=scheduler, faults=plan)
-    on = _run(cp, None, trace=True, scheduler=scheduler, faults=plan)
-    _assert_invisible(off, on, f"faults {scheduler}")
+    off = _run(cp, None, trace=False, leg_name=leg_name, faults=plan)
+    on = _run(cp, None, trace=True, leg_name=leg_name, faults=plan)
+    _assert_invisible(off, on, f"faults {leg_name}")
     assert on.trace.events("fault")
     assert on.stats.faulted_messages == off.stats.faulted_messages
 
