@@ -288,7 +288,8 @@ def dgefa_reference_lu(a: np.ndarray) -> np.ndarray:
 def handcoded_dgefa_spmd(ctx, n: int, init_fn) -> np.ndarray:
     """Hand-written SPMD node program for column-cyclic dgefa on the
     simulated machine — the performance target compiled code should
-    approach (§9's hand-coded comparison).
+    approach (§9's hand-coded comparison).  A generator, like every node
+    program that communicates: ``Machine.run`` drives it.
 
     Returns this node's copy of the matrix (its owned columns valid).
     """
@@ -305,9 +306,9 @@ def handcoded_dgefa_spmd(ctx, n: int, init_fn) -> np.ndarray:
         if me == owner:
             ctx.compute(m)  # the dscal divides
             a[k + 1:, k] /= a[k, k]
-            ctx.broadcast(owner, a[k + 1:, k].copy(), m * elem)
+            yield from ctx.broadcast_y(owner, a[k + 1:, k].copy(), m * elem)
         else:
-            a[k + 1:, k] = ctx.broadcast(owner, None, m * elem)
+            a[k + 1:, k] = yield from ctx.broadcast_y(owner, None, m * elem)
         # update owned columns j in k+1..n-1 (0-based), j % P == me
         start = k + 1 + ((me - (k + 1)) % P)
         cols = range(start, n, P)

@@ -11,10 +11,13 @@ then ``compile()`` them once and cache the source on disk
 interpreter: same virtual-clock charges in the same order, same
 communication schedule, same RunStats.
 
-Any procedure the emitter cannot lower **demotes** to the interpreter's
-closures for that procedure only; demotions are reported per
-(rank class, variant, procedure, cause) so the driver can trace them
-and ``--strict`` can turn them into hard errors.
+Each procedure is emitted once: as a generator if it may block, as a
+plain function otherwise.  Any procedure the emitter cannot lower
+**demotes** to the interpreter's closures for that procedure only;
+demotions are reported per (rank class, variant, procedure, cause) —
+the variant is ``event`` for a generator, ``node`` for a plain
+function — so the driver can trace them and ``--strict`` can turn them
+into hard errors.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..interp.interpreter import find_blocking_units
 from ..lang import ast as A
 from . import cache as _cache
 from .emit import emit_module
@@ -79,8 +83,7 @@ def reset_memory() -> None:
 class GeneratedModule:
     """One exec'd node-program module for one rank class."""
 
-    __slots__ = ("cls", "source", "units", "units_y", "blocking",
-                 "demoted", "demoted_y")
+    __slots__ = ("cls", "source", "units", "blocking", "demoted")
 
     def __init__(self, cls: str, source: str, ns: dict) -> None:
         self.cls = cls
@@ -88,27 +91,22 @@ class GeneratedModule:
         # a poisoned entry that parses but lacks the tables raises
         # KeyError here; the loader treats that as a miss
         self.units = ns["UNITS"]
-        self.units_y = ns["UNITS_Y"]
         self.blocking = ns["BLOCKING"]
         self.demoted = ns["DEMOTED"]
-        self.demoted_y = ns["DEMOTED_Y"]
 
 
 class _FallbackModule:
     """Stands in when generation itself failed: every procedure
     demotes, the run proceeds on the interpreter."""
 
-    __slots__ = ("cls", "source", "units", "units_y", "blocking",
-                 "demoted", "demoted_y")
+    __slots__ = ("cls", "source", "units", "blocking", "demoted")
 
-    def __init__(self, cls: str, cause: str) -> None:
+    def __init__(self, cls: str, cause: str, blocking: set[str]) -> None:
         self.cls = cls
         self.source = f"# generation failed: {cause}\n"
         self.units = {}
-        self.units_y = {}
-        self.blocking = frozenset()
+        self.blocking = frozenset(blocking)
         self.demoted = {"*": cause}
-        self.demoted_y = {"*": cause}
 
 
 @dataclass
@@ -192,12 +190,12 @@ def get_generated(
                 GEN_COUNTS["generated"] += 1
                 _cache.store(stem, src)
             except Exception as ex:  # never fail the run
-                mod = _FallbackModule(cls, f"{type(ex).__name__}: {ex}")
+                mod = _FallbackModule(cls, f"{type(ex).__name__}: {ex}",
+                                      find_blocking_units(program))
         modules[cls] = (rlo, rhi, mod)
         for proc, cause in mod.demoted.items():
-            demotions.append((cls, "node", proc, cause))
-        for proc, cause in mod.demoted_y.items():
-            demotions.append((cls, "event", proc, cause))
+            variant = "event" if proc in mod.blocking else "node"
+            demotions.append((cls, variant, proc, cause))
 
     gen = GeneratedProgram(nprocs, key, vectorize, modules, demotions)
     _memory[key] = gen

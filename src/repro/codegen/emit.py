@@ -10,21 +10,20 @@ hi — see :func:`repro.codegen.rank_classes`) so that processor-identity
 guards like ``if (my$p .eq. 0)`` fold away statically for the interior
 ranks.
 
-Two variants of each procedure may be emitted:
-
-* a generator ``fn_y(rt, fr)``, the form the simulator drives, that
-  yields at exactly the suspension points of the interpreter's
-  blocking-units fixpoint (``find_blocking_units``), and
-* a plain function ``fn(rt, fr)``, for procedures that never block and
-  for programs that run as plain callables on fibers (a communicating
-  FUNCTION referenced inside an expression; see
-  :func:`~repro.interp.interpreter.blocking_expr_call`).
+Each procedure is emitted once, as ``fn(rt, fr)``: a generator if it
+may block (the interpreter's blocking-units fixpoint,
+``find_blocking_units``), a plain function otherwise.  A generator
+yields at exactly the suspension points of the interpreter's yielding
+compilation (``stmt_may_block``), also inside an expression: a
+reference to a communicating FUNCTION is emitted as
+``(yield from rt.fcall_y(...))`` in expression position.
 
 The generated code must be **bit-identical** to the interpreter in
 arrays, virtual clocks, and RunStats: every ``compute``/``loop_tick``/
 ``guard_tick`` charge is emitted in the interpreter's order, affine
-loop nests are vectorized under exactly the legality rules of
-:mod:`repro.interp.vectorize` (same runtime checks, same trace event),
+loop nests are vectorized under the legality analysis of
+:mod:`repro.interp.vectorize` itself (:class:`LoopShape`: same accepted
+loops, same runtime checks, same trace event),
 and communication sections go through the interpreter's memoized
 ``_comm_entry`` so cache counters and trace events match.
 
@@ -39,13 +38,15 @@ import re
 from typing import Optional
 
 from ..interp.interpreter import (
-    _BLOCKING_STMTS,
+    SUSPENDABLE_EXPR_STMTS,
     Interpreter,
     _count_ops,
-    blocking_expr_call,
+    expr_may_block,
     find_blocking_units,
+    scalar_type,
+    stmt_may_block,
 )
-from ..interp.vectorize import _INVARIANT_OK_CALLS, MIN_BLOCK, _mentions
+from ..interp.vectorize import MIN_BLOCK, LoopShape, Reject, _mentions
 from ..lang import ast as A
 from ..runtime.intrinsics import PURE_INTRINSICS
 
@@ -58,10 +59,6 @@ class Unsupported(Exception):
 #: suite force the per-procedure demotion path on ordinary programs
 #: (monkeypatched; consulted on every statement).
 UNSUPPORTED_STMTS: tuple = ()
-
-
-class _VecReject(Exception):
-    """Internal: loop nest not vectorizable; emit the scalar loop."""
 
 
 #: Fortran binary operators with a direct Python spelling.
@@ -81,15 +78,6 @@ _VEC_CALL_SRC = {
     "abs": "np.abs({0})",
     "sqrt": "np.sqrt({0})",
 }
-
-
-def scalar_type(unit: A.Procedure, name: str) -> str:
-    """Mirror of ``Interpreter._scalar_type`` (declaration wins, else
-    the I-N implicit-integer rule)."""
-    d = unit.decl(name)
-    if d is not None:
-        return d.type
-    return "integer" if name[0] in "ijklmn" else "real"
 
 
 def _const_int(e: A.Expr) -> Optional[int]:
@@ -160,8 +148,8 @@ class _ModuleEmitter:
             ident = self._specs[key] = f"_SPECS_{len(self._specs)}"
         return ident
 
-    def fn_ident(self, unit_name: str, y: bool) -> str:
-        base = "_u_" + re.sub(r"\W", "_", unit_name) + ("_y" if y else "")
+    def fn_ident(self, unit_name: str) -> str:
+        base = "_u_" + re.sub(r"\W", "_", unit_name)
         ident, k = base, 2
         while ident in self._fn_idents:
             ident = f"{base}{k}"
@@ -174,34 +162,19 @@ class _ModuleEmitter:
     def emit(self) -> str:
         fns: list[str] = []
         units: dict[str, str] = {}
-        units_y: dict[str, str] = {}
         demoted: dict[str, str] = {}
-        demoted_y: dict[str, str] = {}
         for u in self.program.units:
             try:
-                src, ident = _FnEmitter(self, u, y=False).emit()
+                src, ident = _FnEmitter(self, u).emit()
                 fns.append(src)
                 units[u.name] = ident
             except Unsupported as ex:
                 demoted[u.name] = str(ex)
             except Exception as ex:  # defensive: demote, never fail
                 demoted[u.name] = f"internal: {type(ex).__name__}: {ex}"
-            if u.name in self.blocking:
-                if u.name in demoted:
-                    demoted_y[u.name] = demoted[u.name]
-                    continue
-                try:
-                    src, ident = _FnEmitter(self, u, y=True).emit()
-                    fns.append(src)
-                    units_y[u.name] = ident
-                except Unsupported as ex:
-                    demoted_y[u.name] = str(ex)
-                except Exception as ex:
-                    demoted_y[u.name] = \
-                        f"internal: {type(ex).__name__}: {ex}"
-        return self._assemble(fns, units, units_y, demoted, demoted_y)
+        return self._assemble(fns, units, demoted)
 
-    def _assemble(self, fns, units, units_y, demoted, demoted_y) -> str:
+    def _assemble(self, fns, units, demoted) -> str:
         out = [self.header]
         out.append('"""Auto-generated node program — do not edit.')
         out.append("")
@@ -238,9 +211,7 @@ class _ModuleEmitter:
             out.append(fn)
             out.append("")
         out.append(_table("UNITS", units, quote_values=False))
-        out.append(_table("UNITS_Y", units_y, quote_values=False))
         out.append(_table("DEMOTED", demoted, quote_values=True))
-        out.append(_table("DEMOTED_Y", demoted_y, quote_values=True))
         return "\n".join(out) + "\n"
 
 
@@ -256,24 +227,23 @@ def _table(name: str, mapping: dict, quote_values: bool) -> str:
 
 
 # --------------------------------------------------------------------------
-# one function (one procedure, one variant)
+# one function (one procedure)
 # --------------------------------------------------------------------------
 
 
 class _FnEmitter:
-    """Emit one procedure as ``def fn(rt, fr)`` (or a generator twin).
+    """Emit one procedure as ``def fn(rt, fr)``.
 
     Charge placement mirrors ``Interpreter._compile_stmt`` statement by
-    statement; the ``y`` variant yields exactly where
-    ``Interpreter._compile_stmt_y`` does.
+    statement; a procedure that may block (``y``) is a generator that
+    yields exactly where ``Interpreter._compile_stmt_y`` does.
     """
 
-    def __init__(self, mod: _ModuleEmitter, unit: A.Procedure,
-                 y: bool) -> None:
+    def __init__(self, mod: _ModuleEmitter, unit: A.Procedure) -> None:
         self.mod = mod
         self.unit = unit
-        self.y = y
-        self.ident = mod.fn_ident(unit.name, y)
+        self.y = unit.name in mod.blocking
+        self.ident = mod.fn_ident(unit.name)
         self.lines: list[str] = []
         self.ind = 1
         self._ntmp = 0
@@ -353,8 +323,6 @@ class _FnEmitter:
     # -- assembly ----------------------------------------------------------
 
     def emit(self) -> tuple[str, str]:
-        if self.y:
-            self._check_no_blocking_exprs()
         self.suite_inline(self.unit.body)
         if self.y and not self.has_yield:
             self.w("if False:")
@@ -363,10 +331,10 @@ class _FnEmitter:
         body = pre + self.lines
         if not body:
             body = ["    pass"]
-        variant = "event" if self.y else "node"
+        kind = "generator" if self.y else "never blocks"
         head = [
             f"def {self.ident}(rt, fr):",
-            f"    # {self.unit.kind} {self.unit.name} ({variant} variant)",
+            f"    # {self.unit.kind} {self.unit.name} ({kind})",
         ]
         return "\n".join(head + body), self.ident
 
@@ -396,30 +364,6 @@ class _FnEmitter:
         for ident, ax in sorted(self.arr_lo):
             pre.append(f"_l{ax}_{ident} = _a_{ident}.bounds[{ax}][0]")
         return ["    " + ln for ln in pre]
-
-    # -- generator-variant gating -----------------------------------------
-
-    def _check_no_blocking_exprs(self) -> None:
-        """A generator cannot suspend inside an expression: demote the
-        generator variant exactly where the interpreter refuses one."""
-        callee = blocking_expr_call(self.unit, self.mod.blocking)
-        if callee is not None:
-            raise Unsupported(
-                f"function {callee!r} communicates inside an expression"
-            )
-
-    def may_block(self, s: A.Stmt) -> bool:
-        if isinstance(s, _BLOCKING_STMTS):
-            return True
-        if isinstance(s, A.Call):
-            return s.name in self.mod.blocking
-        return any(
-            self.may_block(c)
-            for blk in A.child_blocks(s) for c in blk
-        )
-
-    def body_may_block(self, body: list[A.Stmt]) -> bool:
-        return any(self.may_block(s) for s in body)
 
     # -- expressions -------------------------------------------------------
 
@@ -495,6 +439,10 @@ class _FnEmitter:
         if self.mod.program.unit(name).kind != "function":
             raise Unsupported(f"{name} is not a function")
         args_src, actuals_src = self.call_args(list(e.args))
+        if name in self.mod.blocking:
+            self.has_yield = True
+            return (f"(yield from rt.fcall_y({name!r}, fr, {args_src}, "
+                    f"{actuals_src}))")
         return f"rt.fcall({name!r}, fr, {args_src}, {actuals_src})"
 
     def call_args(self, args: list[A.Expr]) -> tuple[str, str]:
@@ -541,6 +489,13 @@ class _FnEmitter:
         if UNSUPPORTED_STMTS and isinstance(s, tuple(UNSUPPORTED_STMTS)):
             raise Unsupported(
                 f"statement {type(s).__name__} disabled for testing"
+            )
+        if not isinstance(s, SUSPENDABLE_EXPR_STMTS) and any(
+            expr_may_block(e, self.mod.blocking) for e in A.stmt_exprs(s)
+        ):
+            # the interpreter refuses these too (InterpError)
+            raise Unsupported(
+                f"communicating function in a {type(s).__name__} statement"
             )
         if isinstance(s, A.Assign):
             return self.emit_assign(s)
@@ -708,23 +663,20 @@ class _FnEmitter:
             self.w(f"if {st_src} == 0:")
             msg = f"{self.unit.name}: zero DO step"
             self.w(f"    raise InterpError({msg!r})")
-        yb = self.y and self.body_may_block(s.body)
-        if not yb and self.mod.vectorize and s.body and all(
-            isinstance(b, A.Assign) and isinstance(b.target, A.ArrayRef)
-            for b in s.body
-        ):
+        # a DO that may suspend keeps its scalar loop, as in the
+        # interpreter's yielding compilation
+        if self.mod.vectorize and not stmt_may_block(s, self.mod.blocking):
             try:
                 plan = _VecPlan(self, s)
-            except _VecReject:
+            except Reject:
                 plan = None
             if plan is not None:
                 plan.emit(lo_t, hi_t, st_src, st_lit)
                 return
-        self.emit_do_scalar(s, lo_t, hi_t, st_src, st_lit, yb)
+        self.emit_do_scalar(s, lo_t, hi_t, st_src, st_lit)
 
     def emit_do_scalar(self, s: A.Do, lo_t: str, hi_t: str,
-                       st_src: str, st_lit: Optional[int],
-                       yb: bool) -> None:
+                       st_src: str, st_lit: Optional[int]) -> None:
         i_t = self.tmp()
         self.w(f"{i_t} = {lo_t}")
         if st_lit is not None:
@@ -750,11 +702,8 @@ class _FnEmitter:
         self.w(f"{g_t} += 1")
         self.w(f"if {g_t} > 10000000:")
         self.w("    raise InterpError('runaway DO WHILE')")
-        self.w("loop_tick()")
-        n0 = len(self.lines)
+        self.w("loop_tick()")  # keeps the suite non-empty
         self.suite_inline(s.body)
-        if len(self.lines) == n0:
-            pass  # loop_tick line keeps the suite non-empty
         self.ind -= 1
 
     # -- calls / IO --------------------------------------------------------
@@ -763,7 +712,7 @@ class _FnEmitter:
         if s.name not in self.mod.unit_names:
             raise Unsupported(f"call of unknown procedure {s.name!r}")
         args_src, actuals_src = self.call_args(list(s.args))
-        if self.y and s.name in self.mod.blocking:
+        if s.name in self.mod.blocking:
             self.has_yield = True
             self.w(f"yield from rt.call_y({s.name!r}, fr, {args_src}, "
                    f"{actuals_src})")
@@ -815,32 +764,26 @@ class _FnEmitter:
 
     def emit_recv(self, s: A.Recv) -> None:
         self.uses.add("ctx")
+        self.has_yield = True
         ident, e_t = self._entry(s.array, s.subs)
         p_t = self.tmp()
-        call = f"ctx.recv(int({self.ex(s.src)}), {s.tag}, " \
-               f"origin={self._origin(s)!r})"
-        if self.y:
-            self.has_yield = True
-            self.w(f"{p_t} = yield from {call.replace('ctx.recv(', 'ctx.recv_y(', 1)}")
-        else:
-            self.w(f"{p_t} = {call}")
+        self.w(f"{p_t} = yield from ctx.recv_y(int({self.ex(s.src)}), "
+               f"{s.tag}, origin={self._origin(s)!r})")
         self.w(f"rt.write_entry(_a_{ident}, {e_t}[0], {e_t}[1], {p_t})")
 
     def emit_bcast(self, s: A.Bcast) -> None:
         self.uses.update(("ctx", "RANK"))
+        self.has_yield = True
         ident, e_t = self._entry(s.array, s.subs)
         r_t = self.tmp()
         self.w(f"{r_t} = int({self.ex(s.root)})")
         origin = self._origin(s)
-        bc = "ctx.broadcast_y" if self.y else "ctx.broadcast"
-        pref = "yield from " if self.y else ""
-        if self.y:
-            self.has_yield = True
         self.w(f"if RANK == {r_t}:")
-        self.w(f"    {pref}{bc}({r_t}, {e_t}[0] if {e_t}[0] is not None "
-               f"else _d_{ident}[{e_t}[1]], {e_t}[2], origin={origin!r})")
+        self.w(f"    yield from ctx.broadcast_y({r_t}, {e_t}[0] if "
+               f"{e_t}[0] is not None else _d_{ident}[{e_t}[1]], "
+               f"{e_t}[2], origin={origin!r})")
         self.w("else:")
-        self.w(f"    {pref}{bc}({r_t}, None, {e_t}[2], "
+        self.w(f"    yield from ctx.broadcast_y({r_t}, None, {e_t}[2], "
                f"consume=rt.consumer(_a_{ident}, {e_t}[0], {e_t}[1]), "
                f"origin={origin!r})")
 
@@ -859,13 +802,10 @@ class _FnEmitter:
 
     def emit_recvpack(self, s: A.RecvPack) -> None:
         self.uses.add("ctx")
+        self.has_yield = True
         ps_t = self.tmp()
-        recv = "ctx.recv_y" if self.y else "ctx.recv"
-        pref = "yield from " if self.y else ""
-        if self.y:
-            self.has_yield = True
-        self.w(f"{ps_t} = {pref}{recv}(int({self.ex(s.src)}), {s.tag}, "
-               f"origin={self._origin(s)!r})")
+        self.w(f"{ps_t} = yield from ctx.recv_y(int({self.ex(s.src)}), "
+               f"{s.tag}, origin={self._origin(s)!r})")
         for k, (array, subs) in enumerate(s.parts):
             ident, e_t = self._entry(array, list(subs))
             self.w(f"rt.write_entry(_a_{ident}, {e_t}[0], {e_t}[1], "
@@ -873,39 +813,26 @@ class _FnEmitter:
 
     def emit_reduce(self, s: A.GlobalReduce) -> None:
         self.uses.update(("ctx", "S"))
+        self.has_yield = True
         origin = getattr(s, "comment", "") \
             or f"{self.unit.name}:{s.op} {s.var}"
-        if self.y:
-            self.has_yield = True
-            r_t = self.tmp()
-            if s.op == "maxloc":
-                self.w(f"{r_t} = yield from ctx.allreduce_y("
-                       f"(S[{s.var!r}], S[{s.aux!r}]), 'maxloc', 16, "
-                       f"origin={origin!r})")
-                self.w(f"S[{s.var!r}], S[{s.aux!r}] = {r_t}")
-            else:
-                self.w(f"{r_t} = yield from ctx.allreduce_y("
-                       f"S[{s.var!r}], {s.op!r}, 8, origin={origin!r})")
-                self.w(f"S[{s.var!r}] = {r_t}")
-            return
+        r_t = self.tmp()
         if s.op == "maxloc":
-            self.w(f"S[{s.var!r}], S[{s.aux!r}] = ctx.allreduce("
+            self.w(f"{r_t} = yield from ctx.allreduce_y("
                    f"(S[{s.var!r}], S[{s.aux!r}]), 'maxloc', 16, "
                    f"origin={origin!r})")
+            self.w(f"S[{s.var!r}], S[{s.aux!r}] = {r_t}")
         else:
-            self.w(f"S[{s.var!r}] = ctx.allreduce(S[{s.var!r}], "
-                   f"{s.op!r}, 8, origin={origin!r})")
+            self.w(f"{r_t} = yield from ctx.allreduce_y("
+                   f"S[{s.var!r}], {s.op!r}, 8, origin={origin!r})")
+            self.w(f"S[{s.var!r}] = {r_t}")
 
     def emit_remap(self, s: A.Remap) -> None:
         ident = self.areg(s.array)
         spec = self.mod.specs_const(s.to_specs)
         origin = s.comment or f"{self.unit.name}:remap {s.array}"
-        if self.y:
-            self.has_yield = True
-            self.w(f"yield from rt.remap_y(_a_{ident}, {spec}, "
-                   f"{origin!r})")
-        else:
-            self.w(f"rt.remap(_a_{ident}, {spec}, {origin!r})")
+        self.has_yield = True
+        self.w(f"yield from rt.remap_y(_a_{ident}, {spec}, {origin!r})")
 
     def emit_mark(self, s: A.MarkDist) -> None:
         ident = self.areg(s.array)
@@ -914,159 +841,26 @@ class _FnEmitter:
 
 
 # --------------------------------------------------------------------------
-# loop vectorization (static mirror of repro.interp.vectorize._Plan)
+# loop vectorization (source for repro.interp.vectorize.LoopShape)
 # --------------------------------------------------------------------------
 
 
 class _VecPlan:
-    """Static legality analysis + numpy emission for an affine DO nest.
+    """Numpy emission for an affine DO nest.
 
-    The acceptance rules are a faithful (conservative) mirror of
-    ``vectorize._Plan``: anything this plan accepts, the interpreter's
-    vectorizer accepts with the same block slices, runtime checks, and
-    charges — which is what keeps the two paths bit-identical.
+    The legality analysis is the interpreter vectorizer's own
+    :class:`~repro.interp.vectorize.LoopShape` (raises ``Reject``):
+    this class only prints, as source, what ``vectorize._Plan`` builds
+    as closures — the same block slices, runtime checks, and charges,
+    which is what keeps the two paths bit-identical.
     """
 
     def __init__(self, fn: _FnEmitter, do: A.Do) -> None:
         self.fn = fn
-        self.v = do.var
         self.do = do
-        self.uses_iota = False
-        self.ops_per_iter = 0
-        #: array name -> (axis, [offset exprs]) for written arrays
-        self.writes: dict[str, tuple[int, list]] = {}
-        #: (array name, axis, offset) for refs indexed by the loop var
-        self.v_reads: list[tuple[str, int, object]] = []
-        #: (array name, subs) for loop-invariant refs
-        self.inv_reads: list[tuple[str, tuple]] = []
-        #: per-statement compiled shape: (name, ident, axis, off,
-        #: invariant-subs, rhs expr)
-        self.stmts: list[tuple] = []
-        for s in do.body:
-            self._plan_stmt(s)
-        self._finalize()
-
-    # -- analysis ----------------------------------------------------------
-
-    def _plan_stmt(self, s: A.Assign) -> None:
-        target = s.target
-        axis, off = self._classify_ref(target)
-        if axis is None:
-            raise _VecReject  # invariant write
-        prev = self.writes.get(target.name)
-        if prev is not None and prev[0] != axis:
-            raise _VecReject
-        if prev is None:
-            self.writes[target.name] = (axis, [off])
-        else:
-            prev[1].append(off)
-        self._check_expr(s.expr)
-        self.ops_per_iter += _count_ops(s.expr) + 1 + len(target.subs)
-        self.stmts.append((target, axis, off, s.expr))
-
-    def _invariant(self, e: A.Expr) -> None:
-        """Legality of a loop-invariant subexpression (mirror of
-        ``_Plan._checked_invariant``)."""
-        for sub in A.walk_exprs(e):
-            if isinstance(sub, A.CallExpr) \
-                    and sub.name not in _INVARIANT_OK_CALLS:
-                raise _VecReject
-            if isinstance(sub, A.Triplet):
-                raise _VecReject
-            if isinstance(sub, A.ArrayRef):
-                self.inv_reads.append((sub.name, tuple(sub.subs)))
-
-    def _axis_offset(self, e: A.Expr):
-        """The affine form of a subscript in the loop variable:
-        returns the offset descriptor or rejects."""
-        v = self.v
-        if isinstance(e, A.Var) and e.name == v:
-            return ("zero",)
-        if isinstance(e, A.BinOp) and isinstance(e.left, A.Var) \
-                and e.left.name == v and not _mentions(e.right, v):
-            if e.op == "+":
-                self._invariant(e.right)
-                return ("pos", e.right)
-            if e.op == "-":
-                self._invariant(e.right)
-                return ("neg", e.right)
-        if isinstance(e, A.BinOp) and e.op == "+" \
-                and isinstance(e.right, A.Var) and e.right.name == v \
-                and not _mentions(e.left, v):
-            self._invariant(e.left)
-            return ("pos", e.left)
-        raise _VecReject
-
-    def _classify_ref(self, ref: A.ArrayRef):
-        """(axis, off) of the one subscript mentioning the loop var;
-        (None, None) when the reference is loop-invariant."""
-        v = self.v
-        axis = off = None
-        for ax, sub in enumerate(ref.subs):
-            if isinstance(sub, A.Triplet):
-                raise _VecReject
-            if _mentions(sub, v):
-                if axis is not None:
-                    raise _VecReject  # two subscripts use the loop var
-                axis = ax
-                off = self._axis_offset(sub)
-            else:
-                self._invariant(sub)
-        return axis, off
-
-    def _check_expr(self, e: A.Expr) -> None:
-        v = self.v
-        if not _mentions(e, v):
-            self._invariant(e)
-            return
-        if isinstance(e, A.Var):  # e.name == v
-            self.uses_iota = True
-            return
-        if isinstance(e, A.ArrayRef):
-            axis, off = self._classify_ref(e)
-            self.v_reads.append((e.name, axis, off))
-            return
-        if isinstance(e, A.BinOp):
-            if e.op not in ("+", "-", "*", "/", "**"):
-                raise _VecReject
-            self._check_expr(e.left)
-            self._check_expr(e.right)
-            return
-        if isinstance(e, A.UnOp):
-            if e.op != "-":
-                raise _VecReject
-            self._check_expr(e.operand)
-            return
-        if isinstance(e, A.CallExpr):
-            if e.name not in _VEC_CALL_SRC and e.name not in ("min", "max"):
-                raise _VecReject
-            if e.name in ("min", "max") and len(e.args) < 2:
-                raise _VecReject
-            for a in e.args:
-                self._check_expr(a)
-            return
-        raise _VecReject
-
-    def _finalize(self) -> None:
-        self.checked_v_reads: list[tuple[str, object]] = []
-        self.checked_inv_reads: list[tuple[str, A.Expr]] = []
-        for name, axis, off in self.v_reads:
-            w = self.writes.get(name)
-            if w is None:
-                continue
-            if axis != w[0]:
-                raise _VecReject
-            self.checked_v_reads.append((name, off))
-        for name, subs in self.inv_reads:
-            w = self.writes.get(name)
-            if w is None:
-                continue
-            axis = w[0]
-            if axis >= len(subs):
-                raise _VecReject
-            self.checked_inv_reads.append((name, subs[axis]))
-        for name in self.writes:
-            self.fn.areg(name)
+        self.shape = LoopShape(do)
+        for name in self.shape.writes:
+            fn.areg(name)
 
     # -- emission ----------------------------------------------------------
 
@@ -1079,6 +873,7 @@ class _VecPlan:
     def emit(self, lo_t: str, hi_t: str, st_src: str,
              st_lit: Optional[int]) -> None:
         fn = self.fn
+        shape = self.shape
         fn.uses.update(("S", "loop_tick", "compute", "ctx", "_trc"))
         n_t, ok_t = fn.tmp(), fn.tmp()
         fn.w(f"{n_t} = ({hi_t} - {lo_t}) // {st_src} + 1")
@@ -1092,13 +887,13 @@ class _VecPlan:
         conds: list[str] = []
         fn.w(f"if {ok_t}:")
         fn.ind += 1
-        for name, (axis, offs) in self.writes.items():
+        for name, (axis, offs) in shape.writes.items():
             t = fn.tmp()
             woff_t[name] = t
             fn.w(f"{t} = {self._off_src(offs[0])}")
             for extra in offs[1:]:
                 conds.append(f"{self._off_src(extra)} == {t}")
-        for name, off in self.checked_v_reads:
+        for name, off in shape.checked_v_reads:
             conds.append(f"{self._off_src(off)} == {woff_t[name]}")
         if conds:
             fn.w(f"{ok_t} = " + " and ".join(conds))
@@ -1107,7 +902,7 @@ class _VecPlan:
         fn.ind -= 1
         # anti-dependence range checks for invariant reads of written
         # arrays (same inclusive window as vectorize.runtime_ok)
-        for name, idx in self.checked_inv_reads:
+        for name, idx in shape.checked_inv_reads:
             f_t, l_t = fn.tmp(), fn.tmp()
             fn.w(f"if {ok_t}:")
             fn.ind += 1
@@ -1124,26 +919,27 @@ class _VecPlan:
             fn.ind -= 1
         fn.w(f"if not {ok_t}:")
         fn.ind += 1
-        fn.emit_do_scalar(self.do, lo_t, hi_t, st_src, st_lit, yb=False)
+        fn.emit_do_scalar(self.do, lo_t, hi_t, st_src, st_lit)
         fn.ind -= 1
         fn.w("else:")
         fn.ind += 1
         t0_t = fn.tmp()
         fn.w(f"{t0_t} = ctx.clock_estimate() if _trc else 0.0")
         io_t = fn.tmp()
-        if self.uses_iota:
+        if shape.uses_iota:
             fn.w(f"{io_t} = np.arange({lo_t}, {lo_t} + {n_t} * {st_src}, "
                  f"{st_src})")
-        for target, axis, off, expr in self.stmts:
+        for target, axis, off, expr in shape.stmts:
             tgt = self._slice_src(target, axis, off, lo_t, n_t, st_src,
                                   woff_t.get(target.name))
             rhs = self._vec_ex(expr, lo_t, n_t, st_src, io_t)
             fn.w(f"{tgt} = {rhs}")
+        ops = shape.ops_per_iter
         fn.w(f"loop_tick({n_t})")
-        fn.w(f"compute({n_t} * {self.ops_per_iter})")
+        fn.w(f"compute({n_t} * {ops})")
         fn.w("if _trc:")
         fn.w(f"    rt.trace_vec({t0_t}, {self.fn.unit.name!r}, "
-             f"{self.do.var!r}, {n_t}, {n_t} * {self.ops_per_iter})")
+             f"{self.do.var!r}, {n_t}, {n_t} * {ops})")
         fn.w(f"S[{self.do.var!r}] = {lo_t} + {n_t} * {st_src}")
         fn.ind -= 2
 
@@ -1172,12 +968,12 @@ class _VecPlan:
 
     def _vec_ex(self, e: A.Expr, lo_t: str, n_t: str, st_src: str,
                 io_t: str) -> str:
-        if not _mentions(e, self.v):
+        if not _mentions(e, self.do.var):
             return f"({self.fn.ex(e)})"
         if isinstance(e, A.Var):  # the loop variable
             return io_t
         if isinstance(e, A.ArrayRef):
-            axis, off = self._classify_ref(e)
+            axis, off = self.shape.refs[id(e)]
             return self._slice_src(e, axis, off, lo_t, n_t, st_src, None)
         if isinstance(e, A.BinOp):
             left = self._vec_ex(e.left, lo_t, n_t, st_src, io_t)
@@ -1187,16 +983,11 @@ class _VecPlan:
             return f"({left} {e.op} {right})"
         if isinstance(e, A.UnOp):
             return f"(-{self._vec_ex(e.operand, lo_t, n_t, st_src, io_t)})"
-        if isinstance(e, A.CallExpr):
-            args = [self._vec_ex(a, lo_t, n_t, st_src, io_t)
-                    for a in e.args]
-            if e.name in _VEC_CALL_SRC:
-                if len(args) != 1:
-                    raise _VecReject
-                return _VEC_CALL_SRC[e.name].format(args[0])
-            nf = "np.minimum" if e.name == "min" else "np.maximum"
-            acc = args[0]
-            for a in args[1:]:
-                acc = f"{nf}({acc}, {a})"
-            return acc
-        raise _VecReject
+        args = [self._vec_ex(a, lo_t, n_t, st_src, io_t) for a in e.args]
+        if e.name in _VEC_CALL_SRC:
+            return _VEC_CALL_SRC[e.name].format(args[0])
+        nf = "np.minimum" if e.name == "min" else "np.maximum"
+        acc = args[0]
+        for a in args[1:]:
+            acc = f"{nf}({acc}, {a})"
+        return acc

@@ -9,7 +9,9 @@ call/return conventions — goes through the :class:`NodeRt` shim so the
 two execution paths cannot drift apart.  One ``NodeRt`` wraps one
 :class:`~repro.interp.interpreter.Interpreter` instance per rank; any
 procedure the generator demoted falls back to that interpreter's
-compiled closures mid-run, transparently.
+compiled closures mid-run, transparently.  A procedure that may block
+is a generator in both forms, so a caller enters either with
+``yield from``.
 """
 
 from __future__ import annotations
@@ -20,27 +22,10 @@ import numpy as np
 
 from ..dist import Distribution
 from ..interp.arrays import FArray
-from ..interp.interpreter import (
-    Frame, Interpreter, InterpError, _Stop, find_blocking_units,
+from ..interp.interpreter import (  # fdiv: imported by generated modules
+    Frame, Interpreter, _Stop, _result, fdiv,
 )
-from ..runtime.remap import mark_array, remap_array, remap_array_y
-
-
-def fdiv(a, b):
-    """Scalar mirror of the interpreter's ``/``: Fortran truncating
-    division when both operands are integral, IEEE division otherwise."""
-    if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
-        q = abs(a) // abs(b)
-        return int(q if (a >= 0) == (b >= 0) else -q)
-    return a / b
-
-
-def owner_of(arr: FArray, idx):
-    """``owner()`` intrinsic against an array's current distribution."""
-    dist = arr.dist
-    if dist is None or dist.is_replicated:
-        return 0
-    return dist.owner(idx)
+from ..runtime.remap import mark_array, remap_array_y
 
 
 def ax_slice(arr: FArray, pos: int, first: int, last: int, st: int):
@@ -87,11 +72,6 @@ class NodeRt:
 
     # -- remapping ---------------------------------------------------------
 
-    def remap(self, arr: FArray, specs, origin: str) -> None:
-        new = Distribution.from_specs(list(specs), arr.bounds,
-                                      self.ctx.nprocs)
-        remap_array(self.ctx, arr, new, origin=origin)
-
     def remap_y(self, arr: FArray, specs, origin: str):
         new = Distribution.from_specs(list(specs), arr.bounds,
                                       self.ctx.nprocs)
@@ -104,10 +84,7 @@ class NodeRt:
     # -- observability -----------------------------------------------------
 
     def emit_print(self, values) -> None:
-        parts = [
-            f"{v:.6g}" if isinstance(v, float) else str(v) for v in values
-        ]
-        self.interp.prints.append(f"[{self.ctx.rank}] " + " ".join(parts))
+        self.interp.print_values(values)
 
     def trace_vec(self, t0: float, unit: str, var: str, n: int,
                   ops: int) -> None:
@@ -122,93 +99,86 @@ class NodeRt:
 
     # -- calls -------------------------------------------------------------
 
+    def _enter(self, name: str, fr: Frame, args: list):
+        """Callee frame plus the call-overhead charge, exactly as
+        :meth:`Interpreter._call_procedure` binds them."""
+        unit = self.interp.program.unit(name)
+        callee = self.interp._make_frame(unit, args, fr)
+        self.ctx.compute(3 + len(args))  # call overhead
+        return unit, callee
+
+    @staticmethod
+    def _copy_out(unit, fr: Frame, callee: Frame,
+                  var_actuals: tuple) -> None:
+        for formal, actual in zip(unit.formals, var_actuals):
+            if actual is not None and actual not in fr.arrays:
+                if formal in callee.scalars:
+                    fr.scalars[actual] = callee.scalars[formal]
+
     def call(self, name: str, fr: Frame, args: list,
              var_actuals: tuple) -> Frame:
-        """CALL statement / function-call convention: identical frame
-        binding, call-overhead charge, and scalar copy-out to
-        :meth:`Interpreter._call_procedure`.  Dispatches to the callee's
-        generated body when one exists, else to the interpreter."""
-        interp = self.interp
-        unit = interp.program.unit(name)
-        callee = interp._make_frame(unit, args, fr)
-        self.ctx.compute(3 + len(args))  # call overhead
+        """CALL of a procedure that never blocks: identical frame
+        binding, call-overhead charge, and scalar copy-out to the
+        interpreter.  Dispatches to the callee's generated body when
+        one exists, else to the interpreter."""
+        unit, callee = self._enter(name, fr, args)
         fn = self.mod.units.get(name)
         if fn is not None:
             fn(self, callee)
         else:
-            interp._exec_unit(unit, callee)
-        for formal, actual in zip(unit.formals, var_actuals):
-            if actual is not None and actual not in fr.arrays:
-                if formal in callee.scalars:
-                    fr.scalars[actual] = callee.scalars[formal]
+            self.interp._exec_unit(unit, callee)
+        self._copy_out(unit, fr, callee, var_actuals)
         return callee
 
     def call_y(self, name: str, fr: Frame, args: list, var_actuals: tuple):
-        """Generator twin of :meth:`call` for blocking callees."""
-        interp = self.interp
-        unit = interp.program.unit(name)
-        callee = interp._make_frame(unit, args, fr)
-        self.ctx.compute(3 + len(args))  # call overhead
-        fn_y = self.mod.units_y.get(name)
-        if fn_y is not None:
-            yield from fn_y(self, callee)
-        elif name not in self.mod.blocking and name in self.mod.units:
-            self.mod.units[name](self, callee)
+        """CALL of a procedure that may suspend (a generator, like the
+        callee's generated body)."""
+        unit, callee = self._enter(name, fr, args)
+        fn = self.mod.units.get(name)
+        if fn is not None:
+            yield from fn(self, callee)
         else:
-            if interp._blocking is None:
-                interp._blocking = find_blocking_units(interp.program)
-            yield from interp._exec_unit_y(unit, callee)
-        for formal, actual in zip(unit.formals, var_actuals):
-            if actual is not None and actual not in fr.arrays:
-                if formal in callee.scalars:
-                    fr.scalars[actual] = callee.scalars[formal]
+            yield from self.interp._exec_unit_y(unit, callee)
+        self._copy_out(unit, fr, callee, var_actuals)
         return callee
 
     def fcall(self, name: str, fr: Frame, args: list, var_actuals: tuple):
-        """User-function reference in expression position."""
-        callee = self.call(name, fr, args, var_actuals)
-        try:
-            return callee.scalars[name]
-        except KeyError:
-            raise InterpError(
-                f"function {name} returned no value"
-            ) from None
+        """Reference to a FUNCTION that never blocks, in an expression."""
+        return _result(self.call(name, fr, args, var_actuals), name)
+
+    def fcall_y(self, name: str, fr: Frame, args: list,
+                var_actuals: tuple):
+        """Reference to a communicating FUNCTION, in an expression of a
+        generated generator: ``(yield from rt.fcall_y(...))``."""
+        callee = yield from self.call_y(name, fr, args, var_actuals)
+        return _result(callee, name)
 
     # -- entry points ------------------------------------------------------
 
-    def run(self) -> Frame:
-        """Execute the main program as a plain callable (the fiber
-        path; see :func:`~repro.interp.interpreter.needs_fibers`)."""
-        interp = self.interp
-        main = interp.program.main
-        frame = interp._make_frame(main, [], None)
-        try:
-            fn = self.mod.units.get(main.name)
-            if fn is not None:
-                fn(self, frame)
-            else:
-                interp._exec_unit(main, frame)
-        except _Stop:
-            pass
-        return frame
+    def run(self):
+        """Same as :meth:`run_y`."""
+        # a distinct method, not an alias: perfbench/layers.py wraps
+        # NodeRt.run and NodeRt.run_y one by one
+        return self.run_y()
 
     def run_y(self):
-        """Generator twin of :meth:`run`, the form the simulator drives:
-        yields exactly where the interpreter's yielding path yields."""
+        """Execute the main program; a generator, the form the
+        simulator drives — it yields exactly where the interpreter's
+        :meth:`~Interpreter.run_events` would."""
         interp = self.interp
         main = interp.program.main
         frame = interp._make_frame(main, [], None)
+        fn = self.mod.units.get(main.name)
         try:
-            fn_y = self.mod.units_y.get(main.name)
-            if fn_y is not None:
-                yield from fn_y(self, frame)
-            elif main.name not in self.mod.blocking \
-                    and main.name in self.mod.units:
+            if main.name not in self.mod.blocking:
                 # a main that never blocks runs straight through
-                self.mod.units[main.name](self, frame)
+                if fn is not None:
+                    fn(self, frame)
+                else:
+                    interp._exec_unit(main, frame)
+            elif fn is not None:
+                yield from fn(self, frame)
             else:
-                if interp._blocking is None:
-                    interp._blocking = find_blocking_units(interp.program)
                 yield from interp._exec_unit_y(main, frame)
         except _Stop:
             pass

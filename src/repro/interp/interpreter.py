@@ -6,6 +6,14 @@ into a tree of Python closures — roughly 5-10x faster than naive
 re-dispatching tree walking, which matters for the dgefa benchmark
 sweeps.
 
+A node program runs as a generator (:meth:`Interpreter.run_events`):
+every procedure that may suspend — it receives, joins a collective,
+remaps, or calls such a procedure, also as a FUNCTION inside an
+expression — is compiled once, into generator closures that ``yield``
+exactly where the rank blocks (:func:`stmt_may_block`); everything else
+is compiled into plain closures.  There is no plain form of blocking
+code.
+
 Semantics notes
 ---------------
 * Fortran implicit typing: undeclared scalars starting with ``i``-``n``
@@ -23,6 +31,7 @@ Semantics notes
 
 from __future__ import annotations
 
+import operator
 import os
 from typing import Callable, Generator, Optional
 
@@ -34,7 +43,7 @@ from ..lang.printer import expr_str
 from ..machine.machine import Machine, ProcContext
 from ..machine.costmodel import CostModel, IPSC860
 from ..runtime.intrinsics import PURE_INTRINSICS
-from ..runtime.remap import mark_array, remap_array, remap_array_y
+from ..runtime.remap import mark_array, remap_array_y
 from .arrays import FArray
 
 
@@ -81,14 +90,19 @@ def default_init(name: str, indices: tuple[int, ...]) -> float:
 
 ExprFn = Callable[[Frame], object]
 StmtFn = Callable[[Frame], None]
-#: one compiled statement on a blocking path: ``(is_generator, fn)`` —
-#: generator closures are entered with ``yield from``, plain closures
+#: one compiled statement or expression on a blocking path:
+#: ``(is_generator, fn)`` — generator closures are entered with
+#: ``yield from`` (an expression's returns its value), plain closures
 #: are called directly (they can never suspend)
 Seg = tuple[bool, Callable]
 
 #: statements that can suspend the executing rank (the matching Send
 #: side is asynchronous and never blocks)
 _BLOCKING_STMTS = (A.Recv, A.RecvPack, A.Bcast, A.GlobalReduce, A.Remap)
+
+#: statements whose expressions may reference a communicating FUNCTION
+#: (both lowerings refuse one anywhere else)
+SUSPENDABLE_EXPR_STMTS = (A.Assign, A.If, A.Do, A.DoWhile, A.Call, A.Print)
 
 
 def _count_ops(e: A.Expr) -> int:
@@ -132,28 +146,76 @@ def find_blocking_units(program: A.Program) -> set[str]:
     return blocking
 
 
-def blocking_expr_call(unit: A.Procedure, blocking: set[str]) -> Optional[str]:
-    """The first procedure of *blocking* that *unit* references inside
-    an expression (a communicating FUNCTION), or None.
-
-    A generator cannot suspend from inside an expression closure, so
-    such a unit has no yielding compilation: :func:`run_spmd` runs the
-    whole program as plain callables on fibers instead, and the code
-    generator demotes the unit's generator variant."""
-    for s in A.walk_stmts(unit.body):
-        for e in A.stmt_exprs(s):
-            for sub in A.walk_exprs(e):
-                if isinstance(sub, A.CallExpr) and sub.name in blocking:
-                    return sub.name
-    return None
+def expr_may_block(e: A.Expr, blocking: set[str]) -> bool:
+    """Does *e* reference a procedure of *blocking* (a communicating
+    FUNCTION)?"""
+    return any(isinstance(x, A.CallExpr) and x.name in blocking
+               for x in A.walk_exprs(e))
 
 
-def needs_fibers(program: A.Program) -> bool:
-    """True when some unit calls a communicating FUNCTION inside an
-    expression (see :func:`blocking_expr_call`)."""
-    blocking = find_blocking_units(program)
-    return any(blocking_expr_call(u, blocking) is not None
-               for u in program.units)
+def stmt_may_block(s: A.Stmt, blocking: set[str]) -> bool:
+    """Can executing *s* suspend the rank?  True for the blocking
+    communication statements, a CALL of a procedure in *blocking*, a
+    statement that references a communicating FUNCTION in any of its
+    expressions, and every statement that nests one of these.  The one
+    rule by which both lowerings — the yielding compilation here and
+    the code generator (``repro.codegen``) — place their yields."""
+    if isinstance(s, _BLOCKING_STMTS):
+        return True
+    if isinstance(s, A.Call) and s.name in blocking:
+        return True
+    if any(expr_may_block(e, blocking) for e in A.stmt_exprs(s)):
+        return True
+    return any(stmt_may_block(c, blocking)
+               for blk in A.child_blocks(s) for c in blk)
+
+
+def scalar_type(unit: A.Procedure, name: str) -> str:
+    """Type of scalar *name* in *unit*: its declaration, else Fortran's
+    implicit rule (``i``-``n`` INTEGER, otherwise REAL)."""
+    d = unit.decl(name)
+    if d is not None:
+        return d.type
+    return "integer" if name[0] in "ijklmn" else "real"
+
+
+def fdiv(a, b):
+    """Fortran ``/`` on scalars: truncating division when both operands
+    are integral, IEEE division otherwise."""
+    if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
+        q = abs(a) // abs(b)
+        return int(q if (a >= 0) == (b >= 0) else -q)
+    return a / b
+
+
+#: value-level binary operators for generator expression closures (the
+#: plain closures inline the same operations, see :func:`_binop_fn`)
+_BINOP_VALUE: dict[str, Callable] = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": fdiv,
+    "**": operator.pow, "==": operator.eq, "/=": operator.ne,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _eval_y(segs: list[Seg], fr: "Frame",
+            cast: Optional[Callable] = None) -> Generator:
+    """Evaluate compiled expressions left to right, entering generator
+    closures with ``yield from``; returns the list of values."""
+    out = []
+    for is_gen, fn in segs:
+        v = (yield from fn(fr)) if is_gen else fn(fr)
+        out.append(v if cast is None else cast(v))
+    return out
+
+
+def _copy_out(unit: A.Procedure, arg_exprs: list[A.Expr], frame: "Frame",
+              callee_frame: "Frame") -> None:
+    """Copy-out of scalar variable actuals after a call returns."""
+    for formal, e in zip(unit.formals, arg_exprs):
+        if isinstance(e, A.Var) and e.name not in frame.arrays:
+            if formal in callee_frame.scalars:
+                frame.scalars[e.name] = callee_frame.scalars[formal]
 
 
 class Interpreter:
@@ -183,9 +245,9 @@ class Interpreter:
         self.prints: list[str] = []
         self._compiled: dict[str, list[StmtFn]] = {}
         #: yielding compilation: per-unit segment lists and the set of
-        #: procedures that may suspend (built lazily by run_events)
+        #: procedures that may suspend (built lazily, see ``blocking``)
         self._compiled_y: dict[str, list[Seg]] = {}
-        self._blocking: Optional[set[str]] = None
+        self._blocking_units: Optional[set[str]] = None
         self._param_env: dict[str, dict[str, float | int]] = {}
         for unit in program.units:
             self._param_env[unit.name] = self._eval_params(unit)
@@ -198,7 +260,10 @@ class Interpreter:
     # ------------------------------------------------------------------
 
     def run(self) -> Frame:
-        """Execute the main program; returns its final frame."""
+        """Execute the main program through the plain closures; returns
+        its final frame.  This is the sequential reference run (no
+        machine context); a node program that communicates runs through
+        :meth:`run_events`."""
         main = self.program.main
         frame = self._make_frame(main, [], None)
         try:
@@ -208,20 +273,16 @@ class Interpreter:
         return frame
 
     def run_events(self) -> "Generator[None, None, Frame]":
-        """Generator twin of :meth:`run`, the form the simulator drives.
-
-        Yields exactly at the points where the rank genuinely suspends
-        (a RECV with no matching message, a non-last collective
-        arrival); the :class:`~repro.machine.event.EventScheduler`
-        resumes the generator when the wait is satisfied.  Statements
-        that cannot suspend run through the same compiled closures as
-        :meth:`run`, so clock charges — and therefore virtual times —
-        are bit-identical whichever form runs.
+        """Execute the main program as the node program the simulator
+        drives: a generator that yields exactly where the rank genuinely
+        suspends (a RECV with no matching message, a non-last collective
+        arrival — also inside a communicating FUNCTION referenced from
+        an expression); the :class:`~repro.machine.event.EventScheduler`
+        resumes it when the wait is satisfied.  Statements that cannot
+        suspend run through the plain closures of :meth:`run`.
         """
         if self.ctx is None:
             raise InterpError("run_events requires a machine context")
-        if self._blocking is None:
-            self._blocking = find_blocking_units(self.program)
         main = self.program.main
         frame = self._make_frame(main, [], None)
         try:
@@ -229,6 +290,20 @@ class Interpreter:
         except _Stop:
             pass
         return frame
+
+    @property
+    def blocking(self) -> set[str]:
+        """The procedures that may suspend (:func:`find_blocking_units`)."""
+        if self._blocking_units is None:
+            self._blocking_units = find_blocking_units(self.program)
+        return self._blocking_units
+
+    def print_values(self, values) -> None:
+        """PRINT: one ``[rank] v1 v2 ...`` line (reals as ``%.6g``)."""
+        parts = [f"{v:.6g}" if isinstance(v, float) else str(v)
+                 for v in values]
+        rank = self.ctx.rank if self.ctx is not None else 0
+        self.prints.append(f"[{rank}] " + " ".join(parts))
 
     # ------------------------------------------------------------------
     # frames and declarations
@@ -267,12 +342,6 @@ class Interpreter:
             if self.init_main_arrays:
                 self._fill(arr)
             self._common_store[name] = arr
-
-    def _scalar_type(self, unit: A.Procedure, name: str) -> str:
-        d = unit.decl(name)
-        if d is not None:
-            return d.type
-        return "integer" if name[0] in "ijklmn" else "real"
 
     def _make_frame(
         self,
@@ -373,27 +442,15 @@ class Interpreter:
         if self.ctx is not None:
             self.ctx.compute(3 + len(args))  # call overhead
         self._exec_unit(unit, callee_frame)
-        # copy-out for scalar var actuals
-        for formal, e in zip(unit.formals, arg_exprs):
-            if isinstance(e, A.Var) and e.name not in frame.arrays:
-                if formal in callee_frame.scalars:
-                    frame.scalars[e.name] = callee_frame.scalars[formal]
+        _copy_out(unit, arg_exprs, frame, callee_frame)
         return callee_frame
 
     def _exec_unit_y(
         self, unit: A.Procedure, frame: Frame
     ) -> Generator[None, None, None]:
-        """Generator twin of :meth:`_exec_unit`."""
+        """:meth:`_exec_unit` for a procedure that may suspend."""
         segs = self._compiled_y.get(unit.name)
         if segs is None:
-            callee = blocking_expr_call(unit, self._blocking)
-            if callee is not None:
-                raise InterpError(
-                    f"{unit.name}: function {callee!r} communicates; a "
-                    f"generator cannot suspend inside an expression — "
-                    f"run the program as a plain callable (run_spmd "
-                    f"does) or restructure as a CALL statement"
-                )
             segs = self._compile_block_y(unit.body, unit)
             self._compiled_y[unit.name] = segs
         try:
@@ -407,27 +464,25 @@ class Interpreter:
 
     def _call_procedure_y(
         self, name: str, arg_exprs: list[A.Expr], frame: Frame,
-        compiled_args: list[ExprFn],
+        arg_segs: list[Seg],
     ) -> Generator[None, None, Frame]:
-        """Generator twin of :meth:`_call_procedure`: identical binding,
-        call-overhead charge, and scalar copy-out; the callee body may
-        suspend."""
+        """:meth:`_call_procedure` when the callee or an argument may
+        suspend: identical binding order, call-overhead charge, and
+        scalar copy-out."""
         unit = self.program.unit(name)
         args: list[object] = []
-        for e, fn in zip(arg_exprs, compiled_args):
+        for e, (is_gen, fn) in zip(arg_exprs, arg_segs):
             if isinstance(e, A.Var) and e.name in frame.arrays:
                 args.append(frame.arrays[e.name])
             else:
-                args.append(fn(frame))
+                args.append((yield from fn(frame)) if is_gen else fn(frame))
         callee_frame = self._make_frame(unit, args, frame)
-        if self.ctx is not None:
-            self.ctx.compute(3 + len(args))  # call overhead
-        yield from self._exec_unit_y(unit, callee_frame)
-        # copy-out for scalar var actuals
-        for formal, e in zip(unit.formals, arg_exprs):
-            if isinstance(e, A.Var) and e.name not in frame.arrays:
-                if formal in callee_frame.scalars:
-                    frame.scalars[e.name] = callee_frame.scalars[formal]
+        self.ctx.compute(3 + len(args))  # call overhead
+        if name in self.blocking:
+            yield from self._exec_unit_y(unit, callee_frame)
+        else:
+            self._exec_unit(unit, callee_frame)
+        _copy_out(unit, arg_exprs, frame, callee_frame)
         return callee_frame
 
     # ------------------------------------------------------------------
@@ -575,7 +630,17 @@ class Interpreter:
                 a0, a1 = arg_fns
                 return lambda fr: fn(a0(fr), a1(fr))
             return lambda fr: fn(*[f(fr) for f in arg_fns])
-        # user function
+        self._check_function(name, unit)
+        arg_exprs = list(e.args)
+        arg_fns = [self._compile_expr(a, unit) for a in e.args]
+
+        def call_fn(fr: Frame):
+            return _result(self._call_procedure(name, arg_exprs, fr,
+                                                arg_fns), name)
+
+        return call_fn
+
+    def _check_function(self, name: str, unit: A.Procedure) -> None:
         try:
             callee = self.program.unit(name)
         except KeyError:
@@ -584,19 +649,107 @@ class Interpreter:
             ) from None
         if callee.kind != "function":
             raise InterpError(f"{name} is not a function")
+
+    def _compile_expr_y(self, e: A.Expr, unit: A.Procedure) -> Seg:
+        """Compile *e* for a statement that may suspend.
+
+        An expression that references a communicating FUNCTION becomes
+        a generator closure (entered with ``yield from``, returning the
+        value); any other keeps its plain :meth:`_compile_expr` closure.
+        Operand order, the short-circuit of ``.and.``/``.or.``, and
+        therefore the order of every clock charge are those of
+        :meth:`_compile_expr`."""
+        if not expr_may_block(e, self.blocking):
+            return False, self._compile_expr(e, unit)
+        if isinstance(e, A.ArrayRef):
+            name = e.name
+            subs = [self._compile_expr_y(x, unit) for x in e.subs]
+
+            def read_elem_y(fr: Frame):
+                arr = fr.arrays[name]
+                return arr.get((yield from _eval_y(subs, fr, int)))
+
+            return True, read_elem_y
+        if isinstance(e, A.BinOp):
+            lg, lf = self._compile_expr_y(e.left, unit)
+            rg, rf = self._compile_expr_y(e.right, unit)
+            if e.op in (".and.", ".or."):
+                #: the left value that decides the result on its own
+                decided = e.op == ".or."
+
+                def logic_y(fr: Frame):
+                    a = (yield from lf(fr)) if lg else lf(fr)
+                    if bool(a) == decided:
+                        return decided
+                    return bool((yield from rf(fr)) if rg else rf(fr))
+
+                return True, logic_y
+            apply = _BINOP_VALUE.get(e.op)
+            if apply is None:
+                raise InterpError(f"unknown operator {e.op}")
+
+            def binop_y(fr: Frame):
+                a = (yield from lf(fr)) if lg else lf(fr)
+                return apply(a, (yield from rf(fr)) if rg else rf(fr))
+
+            return True, binop_y
+        if isinstance(e, A.UnOp):
+            _, of = self._compile_expr_y(e.operand, unit)
+            if e.op == "-":
+                def neg_y(fr: Frame):
+                    return -(yield from of(fr))
+
+                return True, neg_y
+            if e.op == ".not.":
+                def not_y(fr: Frame):
+                    return not (yield from of(fr))
+
+                return True, not_y
+            raise InterpError(f"unknown unary op {e.op}")
+        if isinstance(e, A.CallExpr):
+            return True, self._compile_call_expr_y(e, unit)
+        raise InterpError(  # pragma: no cover - leaves never block
+            f"cannot compile expression {e!r}"
+        )
+
+    def _compile_call_expr_y(self, e: A.CallExpr,
+                             unit: A.Procedure) -> Callable:
+        """Generator closure for a call whose callee or argument may
+        suspend (the shapes of :meth:`_compile_call_expr`)."""
+        name = e.name
+        if name == "owner":
+            if len(e.args) != 1 or not isinstance(e.args[0], A.ArrayRef):
+                raise InterpError("owner() takes one array element")
+            ref = e.args[0]
+            subs = [self._compile_expr_y(x, unit) for x in ref.subs]
+            arr_name = ref.name
+
+            def owner_y(fr: Frame):
+                dist = fr.arrays[arr_name].dist
+                if dist is None or dist.is_replicated:
+                    return 0
+                idx = yield from _eval_y(subs, fr, int)
+                return dist.owner(tuple(idx) if len(idx) <= 2 else idx)
+
+            return owner_y
+        args = [self._compile_expr_y(a, unit) for a in e.args]
+        if name in PURE_INTRINSICS:
+            fn = PURE_INTRINSICS[name]
+
+            def intrinsic_y(fr: Frame):
+                return fn(*(yield from _eval_y(args, fr)))
+
+            return intrinsic_y
+        self._check_function(name, unit)
         arg_exprs = list(e.args)
-        arg_fns = [self._compile_expr(a, unit) for a in e.args]
 
-        def call_fn(fr: Frame):
-            callee_frame = self._call_procedure(name, arg_exprs, fr, arg_fns)
-            try:
-                return callee_frame.scalars[name]
-            except KeyError:
-                raise InterpError(
-                    f"function {name} returned no value"
-                ) from None
+        def call_y(fr: Frame):
+            callee_frame = yield from self._call_procedure_y(
+                name, arg_exprs, fr, args
+            )
+            return _result(callee_frame, name)
 
-        return call_fn
+        return call_y
 
     # ------------------------------------------------------------------
     # statement compilation
@@ -614,8 +767,8 @@ class Interpreter:
             ops = _count_ops(s.expr) + 1
             if isinstance(s.target, A.Var):
                 name = s.target.name
-                typ = self._scalar_type(unit, name)
-                cast = int if typ == "integer" else float
+                cast = int if scalar_type(unit, name) == "integer" \
+                    else float
                 if ctx is None:
                     def assign_scalar(fr: Frame):
                         fr.scalars[name] = cast(expr_fn(fr))
@@ -748,12 +901,7 @@ class Interpreter:
             item_fns = [self._compile_expr(i, unit) for i in s.items]
 
             def run_print(fr: Frame):
-                parts = []
-                for fn in item_fns:
-                    v = fn(fr)
-                    parts.append(f"{v:.6g}" if isinstance(v, float) else str(v))
-                rank = self.ctx.rank if self.ctx is not None else 0
-                self.prints.append(f"[{rank}] " + " ".join(parts))
+                self.print_values([fn(fr) for fn in item_fns])
 
             return run_print
         if isinstance(s, (A.Decomposition, A.Align, A.Distribute)):
@@ -767,14 +915,22 @@ class Interpreter:
                 fr.scalars[var] = self.ctx.rank if self.ctx is not None else 0
 
             return run_setmyproc
-        if isinstance(s, (A.Send, A.Recv, A.Bcast)):
+        if isinstance(s, A.Send):
             return self._compile_comm(s, unit)
-        if isinstance(s, (A.SendPack, A.RecvPack)):
+        if isinstance(s, A.SendPack):
             return self._compile_pack(s, unit)
-        if isinstance(s, A.GlobalReduce):
-            return self._compile_reduce(s, unit)
-        if isinstance(s, A.Remap):
-            return self._compile_remap(s, unit)
+        if isinstance(s, A.Remap) and ctx is None:
+            return lambda fr: None  # sequential: remapping is a no-op
+        if isinstance(s, _BLOCKING_STMTS):
+            kind = type(s).__name__
+
+            def refuse(fr: Frame):
+                raise InterpError(
+                    f"{unit.name}: {kind} suspends the rank; only the "
+                    f"yielding compilation (run_events) executes it"
+                )
+
+            return refuse
         if isinstance(s, A.MarkDist):
             specs = list(s.to_specs)
             name = s.array
@@ -794,19 +950,9 @@ class Interpreter:
     # statement as a generator would slow the common (non-blocking)
     # path dramatically, so compilation is split: a fixpoint over the
     # call graph marks the procedures that can suspend, and only
-    # statements on a blocking path become generator closures — all
-    # other statements reuse the exact closures of the plain path,
-    # grouped into straight-line segments.
-
-    def _stmt_may_block(self, s: A.Stmt) -> bool:
-        if isinstance(s, _BLOCKING_STMTS):
-            return True
-        if isinstance(s, A.Call):
-            return s.name in self._blocking
-        return any(
-            self._stmt_may_block(c)
-            for blk in A.child_blocks(s) for c in blk
-        )
+    # statements on a blocking path (:func:`stmt_may_block`) become
+    # generator closures — all other statements reuse the exact
+    # closures of the plain path, grouped into straight-line segments.
 
     def _compile_block_y(
         self, body: list[A.Stmt], unit: A.Procedure
@@ -833,7 +979,7 @@ class Interpreter:
             plain.clear()
 
         for s in body:
-            if self._stmt_may_block(s):
+            if stmt_may_block(s, self.blocking):
                 flush()
                 segs.append((True, self._compile_stmt_y(s, unit)))
             else:
@@ -846,8 +992,33 @@ class Interpreter:
         Charge ordering mirrors :meth:`_compile_stmt` exactly — the two
         paths must produce bit-identical virtual clocks."""
         ctx = self.ctx
+        if isinstance(s, A.Assign):
+            eg, ef = self._compile_expr_y(s.expr, unit)
+            ops = _count_ops(s.expr) + 1
+            if isinstance(s.target, A.Var):
+                name = s.target.name
+                cast = int if scalar_type(unit, name) == "integer" \
+                    else float
+
+                def assign_scalar_y(fr: Frame):
+                    v = (yield from ef(fr)) if eg else ef(fr)
+                    fr.scalars[name] = cast(v)
+                    ctx.compute(ops)
+
+                return assign_scalar_y
+            name = s.target.name
+            subs = [self._compile_expr_y(x, unit) for x in s.target.subs]
+            ops += len(subs)
+
+            def assign_elem_y(fr: Frame):
+                arr = fr.arrays[name]
+                idx = yield from _eval_y(subs, fr, int)  # before the RHS
+                arr.set(idx, (yield from ef(fr)) if eg else ef(fr))
+                ctx.compute(ops)
+
+            return assign_elem_y
         if isinstance(s, A.If):
-            cond_fn = self._compile_expr(s.cond, unit)
+            cg, cf = self._compile_expr_y(s.cond, unit)
             cond_ops = _count_ops(s.cond) or 1
             then_segs = self._compile_block_y(s.then_body, unit)
             else_segs = self._compile_block_y(s.else_body, unit)
@@ -855,8 +1026,8 @@ class Interpreter:
 
             def run_if_y(fr: Frame):
                 guard_tick(cond_ops)
-                branch = then_segs if cond_fn(fr) else else_segs
-                for is_gen, fn in branch:
+                cond = (yield from cf(fr)) if cg else cf(fr)
+                for is_gen, fn in then_segs if cond else else_segs:
                     if is_gen:
                         yield from fn(fr)
                     else:
@@ -865,18 +1036,15 @@ class Interpreter:
             return run_if_y
         if isinstance(s, A.Do):
             var = s.var
-            lo_fn = self._compile_expr(s.lo, unit)
-            hi_fn = self._compile_expr(s.hi, unit)
-            st_fn = self._compile_expr(s.step, unit)
+            bounds = [self._compile_expr_y(x, unit)
+                      for x in (s.lo, s.hi, s.step)]
             body_segs = self._compile_block_y(s.body, unit)
             loop_tick = ctx.loop_tick
-            # no try_vectorize: the vectorizer only accepts all-Assign
-            # bodies, so a loop containing communication never qualifies
+            # no try_vectorize: a DO that may suspend keeps its scalar
+            # loop (the code generator decides by the same rule)
 
             def run_do_y(fr: Frame):
-                lo = int(lo_fn(fr))
-                hi = int(hi_fn(fr))
-                st = int(st_fn(fr))
+                lo, hi, st = yield from _eval_y(bounds, fr, int)
                 if st == 0:
                     raise InterpError(f"{unit.name}: zero DO step")
                 scal = fr.scalars
@@ -894,12 +1062,12 @@ class Interpreter:
 
             return run_do_y
         if isinstance(s, A.DoWhile):
-            cond_fn = self._compile_expr(s.cond, unit)
+            cg, cf = self._compile_expr_y(s.cond, unit)
             body_segs = self._compile_block_y(s.body, unit)
 
             def run_while_y(fr: Frame):
                 guard = 0
-                while cond_fn(fr):
+                while (yield from cf(fr)) if cg else cf(fr):
                     guard += 1
                     if guard > 10_000_000:
                         raise InterpError("runaway DO WHILE")
@@ -914,21 +1082,36 @@ class Interpreter:
         if isinstance(s, A.Call):
             name = s.name
             arg_exprs = list(s.args)
-            arg_fns = [self._compile_expr(a, unit) for a in s.args]
+            arg_segs = [self._compile_expr_y(a, unit) for a in s.args]
 
             def run_call_y(fr: Frame):
-                yield from self._call_procedure_y(name, arg_exprs, fr, arg_fns)
+                yield from self._call_procedure_y(name, arg_exprs, fr,
+                                                  arg_segs)
 
             return run_call_y
+        if isinstance(s, A.Print):
+            items = [self._compile_expr_y(i, unit) for i in s.items]
+
+            def run_print_y(fr: Frame):
+                self.print_values((yield from _eval_y(items, fr)))
+
+            return run_print_y
+        if not isinstance(s, SUSPENDABLE_EXPR_STMTS) and any(
+            expr_may_block(e, self.blocking) for e in A.stmt_exprs(s)
+        ):
+            raise InterpError(
+                f"{unit.name}: a communicating function cannot be "
+                f"referenced in a {type(s).__name__} statement"
+            )
         if isinstance(s, (A.Recv, A.Bcast)):
-            return self._compile_comm(s, unit, yielding=True)
+            return self._compile_comm(s, unit)
         if isinstance(s, A.RecvPack):
-            return self._compile_pack(s, unit, yielding=True)
+            return self._compile_pack(s, unit)
         if isinstance(s, A.GlobalReduce):
-            return self._compile_reduce(s, unit, yielding=True)
+            return self._compile_reduce(s, unit)
         if isinstance(s, A.Remap):
-            return self._compile_remap(s, unit, yielding=True)
-        raise InterpError(  # pragma: no cover - _stmt_may_block gates this
+            return self._compile_remap(s, unit)
+        raise InterpError(  # pragma: no cover - stmt_may_block gates this
             f"statement {type(s).__name__} cannot suspend"
         )
 
@@ -1039,8 +1222,8 @@ class Interpreter:
             return c
         return f"{unit.name}:{c}"
 
-    def _compile_comm(self, s: A.Stmt, unit: A.Procedure,
-                      yielding: bool = False) -> Callable:
+    def _compile_comm(self, s: A.Stmt, unit: A.Procedure) -> Callable:
+        """SEND (plain closure) or RECV / BCAST (generator closures)."""
         section_fn = self._compile_section(s.subs, unit)
         name = s.array
         tag = s.tag
@@ -1064,74 +1247,36 @@ class Interpreter:
         if isinstance(s, A.Recv):
             src_fn = self._compile_expr(s.src, unit)
 
-            if yielding:
-                def run_recv_y(fr: Frame):
-                    arr = fr.arrays[name]
-                    view, slices, _nbytes = self._comm_entry(
-                        cache, arr, section_fn(fr)
-                    )
-                    payload = yield from self.ctx.recv_y(
-                        int(src_fn(fr)), tag, origin=origin
-                    )
-                    self._write_entry(arr, view, slices, payload)
-
-                return run_recv_y
-
-            def run_recv(fr: Frame):
+            def run_recv_y(fr: Frame):
                 arr = fr.arrays[name]
                 view, slices, _nbytes = self._comm_entry(
                     cache, arr, section_fn(fr)
                 )
-                payload = self.ctx.recv(int(src_fn(fr)), tag,
-                                        origin=origin)
+                payload = yield from self.ctx.recv_y(
+                    int(src_fn(fr)), tag, origin=origin
+                )
                 self._write_entry(arr, view, slices, payload)
 
-            return run_recv
+            return run_recv_y
         # broadcast
         root_fn = self._compile_expr(s.root, unit)
 
-        if yielding:
-            def run_bcast_y(fr: Frame):
-                arr = fr.arrays[name]
-                view, slices, nbytes = self._comm_entry(
-                    cache, arr, section_fn(fr)
-                )
-                root = int(root_fn(fr))
-                me = self.ctx.rank
-                if me == root:
-                    yield from self.ctx.broadcast_y(
-                        root,
-                        view if view is not None else arr.data[slices],
-                        nbytes, origin=origin,
-                    )
-                else:
-                    yield from self.ctx.broadcast_y(
-                        root, None, nbytes,
-                        consume=lambda data: self._write_entry(
-                            arr, view, slices, data
-                        ),
-                        origin=origin,
-                    )
-
-            return run_bcast_y
-
-        def run_bcast(fr: Frame):
+        def run_bcast_y(fr: Frame):
             arr = fr.arrays[name]
             view, slices, nbytes = self._comm_entry(
                 cache, arr, section_fn(fr)
             )
             root = int(root_fn(fr))
-            me = self.ctx.rank
-            if me == root:
+            if self.ctx.rank == root:
                 # zero-copy: the collective's consume rendezvous keeps
                 # every consumer's copy ahead of any mutation of the
                 # source, so the root can pass a view of its own array
-                self.ctx.broadcast(
+                yield from self.ctx.broadcast_y(
                     root, view if view is not None else arr.data[slices],
                     nbytes, origin=origin,
                 )
             else:
-                self.ctx.broadcast(
+                yield from self.ctx.broadcast_y(
                     root, None, nbytes,
                     consume=lambda data: self._write_entry(
                         arr, view, slices, data
@@ -1139,12 +1284,12 @@ class Interpreter:
                     origin=origin,
                 )
 
-        return run_bcast
+        return run_bcast_y
 
-    def _compile_pack(self, s: A.Stmt, unit: A.Procedure,
-                      yielding: bool = False) -> Callable:
-        """Aggregated multi-section messages (SendPack/RecvPack): all
-        parts travel as one message (one startup charge)."""
+    def _compile_pack(self, s: A.Stmt, unit: A.Procedure) -> Callable:
+        """Aggregated multi-section messages (SendPack plain, RecvPack a
+        generator closure): all parts travel as one message (one
+        startup charge)."""
         part_fns = [
             (array, self._compile_section(list(subs), unit), {})
             for array, subs in s.parts
@@ -1173,87 +1318,60 @@ class Interpreter:
             return run_sendpack
         src_fn = self._compile_expr(s.src, unit)
 
-        if yielding:
-            def run_recvpack_y(fr: Frame):
-                payloads = yield from self.ctx.recv_y(
-                    int(src_fn(fr)), tag, origin=origin
-                )
-                for (array, sec_fn, cache), data in zip(part_fns, payloads):
-                    arr = fr.arrays[array]
-                    view, slices, _nb = self._comm_entry(
-                        cache, arr, sec_fn(fr)
-                    )
-                    self._write_entry(arr, view, slices, data)
-
-            return run_recvpack_y
-
-        def run_recvpack(fr: Frame):
-            payloads = self.ctx.recv(int(src_fn(fr)), tag, origin=origin)
+        def run_recvpack_y(fr: Frame):
+            payloads = yield from self.ctx.recv_y(
+                int(src_fn(fr)), tag, origin=origin
+            )
             for (array, sec_fn, cache), data in zip(part_fns, payloads):
                 arr = fr.arrays[array]
-                view, slices, _nb = self._comm_entry(cache, arr, sec_fn(fr))
+                view, slices, _nb = self._comm_entry(
+                    cache, arr, sec_fn(fr)
+                )
                 self._write_entry(arr, view, slices, data)
 
-        return run_recvpack
+        return run_recvpack_y
 
-    def _compile_reduce(self, s: A.GlobalReduce, unit: A.Procedure,
-                        yielding: bool = False) -> Callable:
+    def _compile_reduce(self, s: A.GlobalReduce,
+                        unit: A.Procedure) -> Callable:
         var, op, aux = s.var, s.op, s.aux
         origin = getattr(s, "comment", "") or f"{unit.name}:{op} {var}"
 
-        if yielding:
-            def run_reduce_y(fr: Frame):
-                if op == "maxloc":
-                    value = (fr.scalars[var], fr.scalars[aux])
-                    result = yield from self.ctx.allreduce_y(
-                        value, "maxloc", 16, origin=origin
-                    )
-                    fr.scalars[var], fr.scalars[aux] = result
-                else:
-                    result = yield from self.ctx.allreduce_y(
-                        fr.scalars[var], op, 8, origin=origin
-                    )
-                    fr.scalars[var] = result
-
-            return run_reduce_y
-
-        def run_reduce(fr: Frame):
+        def run_reduce_y(fr: Frame):
             if op == "maxloc":
                 value = (fr.scalars[var], fr.scalars[aux])
-                result = self.ctx.allreduce(value, "maxloc", 16,
-                                            origin=origin)
+                result = yield from self.ctx.allreduce_y(
+                    value, "maxloc", 16, origin=origin
+                )
                 fr.scalars[var], fr.scalars[aux] = result
             else:
-                result = self.ctx.allreduce(fr.scalars[var], op, 8,
-                                            origin=origin)
+                result = yield from self.ctx.allreduce_y(
+                    fr.scalars[var], op, 8, origin=origin
+                )
                 fr.scalars[var] = result
 
-        return run_reduce
+        return run_reduce_y
 
-    def _compile_remap(self, s: A.Remap, unit: A.Procedure,
-                       yielding: bool = False) -> Callable:
+    def _compile_remap(self, s: A.Remap, unit: A.Procedure) -> Callable:
         name = s.array
         specs = list(s.to_specs)
         origin = getattr(s, "comment", "") or f"{unit.name}:remap {name}"
 
-        if yielding:
-            def run_remap_y(fr: Frame):
-                arr = fr.arrays[name]
-                new = Distribution.from_specs(
-                    specs, arr.bounds, self.ctx.nprocs
-                )
-                yield from remap_array_y(self.ctx, arr, new, origin=origin)
-
-            return run_remap_y
-
-        def run_remap(fr: Frame):
+        def run_remap_y(fr: Frame):
             arr = fr.arrays[name]
-            if self.ctx is None:
-                return  # sequential: remapping is a no-op
-            new = Distribution.from_specs(specs, arr.bounds, self.ctx.nprocs)
-            remap_array(self.ctx, arr, new, origin=origin)
+            new = Distribution.from_specs(
+                specs, arr.bounds, self.ctx.nprocs
+            )
+            yield from remap_array_y(self.ctx, arr, new, origin=origin)
 
-        return run_remap
+        return run_remap_y
+
+
+def _result(callee_frame: Frame, name: str):
+    """A function's value: the callee's assignment to its own name."""
+    try:
+        return callee_frame.scalars[name]
+    except KeyError:
+        raise InterpError(f"function {name} returned no value") from None
 
 
 def _binop_fn(op: str, lf: ExprFn, rf: ExprFn) -> ExprFn:
@@ -1264,14 +1382,7 @@ def _binop_fn(op: str, lf: ExprFn, rf: ExprFn) -> ExprFn:
     if op == "*":
         return lambda fr: lf(fr) * rf(fr)
     if op == "/":
-        def div(fr):
-            a, b = lf(fr), rf(fr)
-            if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
-                q = abs(a) // abs(b)
-                return int(q if (a >= 0) == (b >= 0) else -q)
-            return a / b
-
-        return div
+        return lambda fr: fdiv(lf(fr), rf(fr))
     if op == "**":
         return lambda fr: lf(fr) ** rf(fr)
     if op == "==":
@@ -1424,32 +1535,20 @@ def run_spmd(
         )
         prints.extend(interp.prints)
 
-    fibers = needs_fibers(program)
-
     def make_node(rank: int):
         mod = gen.module_for(rank) if gen is not None else None
-        if not fibers:
-            # generator node program: the machine drives each rank as
-            # a coroutine, suspending exactly at blocking communication
-            def node(ctx: ProcContext):
-                interp = make_interp(ctx)
-                if mod is not None:
-                    frame = yield from NodeRt(interp, mod).run_y()
-                else:
-                    frame = yield from interp.run_events()
-                finish(ctx, interp)
-                return frame
-        else:
-            # a communicating FUNCTION inside an expression cannot
-            # suspend a generator: plain callable, carried on a fiber
-            def node(ctx: ProcContext) -> Frame:
-                interp = make_interp(ctx)
-                if mod is not None:
-                    frame = NodeRt(interp, mod).run()
-                else:
-                    frame = interp.run()
-                finish(ctx, interp)
-                return frame
+
+        # generator node program: the machine drives each rank as a
+        # coroutine, suspending exactly at blocking communication
+        def node(ctx: ProcContext):
+            interp = make_interp(ctx)
+            if mod is not None:
+                frame = yield from NodeRt(interp, mod).run_y()
+            else:
+                frame = yield from interp.run_events()
+            finish(ctx, interp)
+            return frame
+
         return node
 
     frames = machine.run([make_node(r) for r in range(nprocs)])

@@ -45,6 +45,7 @@ keyword of the run helpers overrides the environment per run.
 
 from __future__ import annotations
 
+import operator
 import os
 from typing import Callable, Optional
 
@@ -65,10 +66,6 @@ def enabled(override: Optional[bool] = None) -> bool:
     return os.environ.get("REPRO_VECTORIZE", "1").lower() not in (
         "0", "false", "no", "off"
     )
-
-
-class _Reject(Exception):
-    """Internal: the loop is not vectorizable."""
 
 
 class _Block:
@@ -143,108 +140,227 @@ _VEC_INTRINSICS: dict[str, Callable] = {
 #: inside once-per-block invariant subexpressions
 _INVARIANT_OK_CALLS = set(PURE_INTRINSICS) | {"myproc", "owner"}
 
+#: operators accepted on loop-carried values, with their elementwise
+#: forms (comparisons and logicals never occur in affine assignments)
+VEC_BINOPS: dict[str, Callable] = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": _fortran_div, "**": operator.pow,
+}
+#: intrinsics accepted on loop-carried values: one-argument ones, and
+#: min/max folded over two or more arguments
+VEC_UNARY = ("f", "g", "abs", "sqrt")
+VEC_FOLDS = ("min", "max")
 
-class _Plan:
-    """Compile-time analysis and code generation for one DO loop."""
 
-    def __init__(self, do: A.Do, unit, interp) -> None:
-        self.do = do
-        self.unit = unit
-        self.interp = interp
-        self.v = do.var
-        # legality bookkeeping
-        self.writes: dict[str, tuple[int, list]] = {}  # name -> (axis, [off_fn])
-        self.v_reads: list[tuple[str, int, Callable]] = []
-        self.inv_reads: list[tuple[str, list[A.Expr]]] = []
-        self.execs: list[Callable] = []
-        self.ops_per_iter = 0
+class Reject(Exception):
+    """The loop is not vectorizable."""
 
+
+class LoopShape:
+    """The legality analysis of one DO loop, on the AST alone.
+
+    Shared by the two executors of a vectorized block — the
+    interpreter's :class:`_Plan` turns it into closures, the code
+    generator (:mod:`repro.codegen.emit`) into source — so both accept
+    exactly the same loops with the same runtime checks.  Raises
+    :class:`Reject` for a loop outside the rules in the module
+    docstring.
+
+    A subscript affine in the loop variable ``i`` has an *offset*:
+    ``("zero",)`` for ``i``, ``("pos", c)`` for ``i + c`` / ``c + i``,
+    ``("neg", c)`` for ``i - c`` (``c`` loop invariant).
+    """
+
+    def __init__(self, do: A.Do) -> None:
         from .interpreter import _count_ops
 
+        self.do = do
+        self.v = do.var
+        #: written array -> (loop axis, [offset per write])
+        self.writes: dict[str, tuple[int, list]] = {}
+        #: (array, axis, offset) per read carrying the loop variable
+        self.v_reads: list[tuple[str, int, tuple]] = []
+        #: (array, subscripts) per loop-invariant array read
+        self.inv_reads: list[tuple[str, tuple]] = []
+        #: id(ArrayRef) -> (axis, offset) for every classified reference
+        self.refs: dict[int, tuple[Optional[int], Optional[tuple]]] = {}
+        #: (target, axis, offset, rhs) per statement, in order
+        self.stmts: list[tuple[A.ArrayRef, int, tuple, A.Expr]] = []
+        self.uses_iota = False
+        #: exact per-iteration operation count of the scalar path
+        self.ops_per_iter = 0
+        if not do.body:
+            raise Reject
         for s in do.body:
             if not (isinstance(s, A.Assign)
                     and isinstance(s.target, A.ArrayRef)):
-                raise _Reject
-            target = self._compile_target(s.target)
-            rhs = self._compile_expr(s.expr)
-            self.execs.append(self._make_exec(target, rhs))
-            self.ops_per_iter += (
-                _count_ops(s.expr) + 1 + len(s.target.subs)
-            )
+                raise Reject
+            target = s.target
+            axis, off = self._classify_ref(target)
+            if axis is None:
+                raise Reject  # loop-invariant write: a cross-iteration race
+            prev = self.writes.get(target.name)
+            if prev is None:
+                self.writes[target.name] = (axis, [off])
+            elif prev[0] != axis:
+                raise Reject
+            else:
+                prev[1].append(off)
+            self._check_expr(s.expr)
+            self.ops_per_iter += _count_ops(s.expr) + 1 + len(target.subs)
+            self.stmts.append((target, axis, off, s.expr))
         self._finalize_legality()
 
-    # -- subscript helpers -------------------------------------------------
+    def _invariant(self, e: A.Expr) -> None:
+        """A loop-invariant expression the block evaluates once (the
+        scalar path evaluates it per iteration, but invariance makes
+        the values equal).  User-function calls are rejected — they
+        carry per-call cost accounting and may have effects — and
+        array reads inside it are recorded for the runtime disjointness
+        check."""
+        for sub in A.walk_exprs(e):
+            if isinstance(sub, A.CallExpr) \
+                    and sub.name not in _INVARIANT_OK_CALLS:
+                raise Reject
+            if isinstance(sub, A.Triplet):
+                raise Reject
+            if isinstance(sub, A.ArrayRef):
+                self.inv_reads.append((sub.name, tuple(sub.subs)))
+
+    def _axis_offset(self, e: A.Expr) -> tuple:
+        v = self.v
+        if isinstance(e, A.Var) and e.name == v:
+            return ("zero",)
+        if isinstance(e, A.BinOp) and isinstance(e.left, A.Var) \
+                and e.left.name == v and not _mentions(e.right, v):
+            if e.op == "+":
+                self._invariant(e.right)
+                return ("pos", e.right)
+            if e.op == "-":
+                self._invariant(e.right)
+                return ("neg", e.right)
+        if isinstance(e, A.BinOp) and e.op == "+" \
+                and isinstance(e.right, A.Var) and e.right.name == v \
+                and not _mentions(e.left, v):
+            self._invariant(e.left)
+            return ("pos", e.left)
+        raise Reject
+
+    def _classify_ref(self, ref: A.ArrayRef):
+        """(axis, offset) of the one subscript mentioning the loop
+        variable; (None, None) when the reference is loop-invariant."""
+        axis = off = None
+        for pos, sub in enumerate(ref.subs):
+            if isinstance(sub, A.Triplet):
+                raise Reject
+            if _mentions(sub, self.v):
+                if axis is not None:
+                    raise Reject  # two subscripts use the loop variable
+                axis = pos
+                off = self._axis_offset(sub)
+            else:
+                self._invariant(sub)
+        self.refs[id(ref)] = (axis, off)
+        return axis, off
+
+    def _check_expr(self, e: A.Expr) -> None:
+        if not _mentions(e, self.v):
+            self._invariant(e)
+            return
+        if isinstance(e, A.Var):  # the loop variable itself
+            self.uses_iota = True
+            return
+        if isinstance(e, A.ArrayRef):
+            axis, off = self._classify_ref(e)
+            self.v_reads.append((e.name, axis, off))
+            return
+        if isinstance(e, A.BinOp):
+            if e.op not in VEC_BINOPS:
+                raise Reject
+            self._check_expr(e.left)
+            self._check_expr(e.right)
+            return
+        if isinstance(e, A.UnOp):
+            if e.op != "-":
+                raise Reject
+            self._check_expr(e.operand)
+            return
+        if isinstance(e, A.CallExpr):
+            # user functions: per-call cost + effects
+            if not ((e.name in VEC_UNARY and len(e.args) == 1)
+                    or (e.name in VEC_FOLDS and len(e.args) >= 2)):
+                raise Reject
+            for a in e.args:
+                self._check_expr(a)
+            return
+        raise Reject
+
+    def _finalize_legality(self) -> None:
+        # reads carrying the loop variable must sit on the write axis of
+        # any array the block writes (offset equality checked per block)
+        #: (array, offset) per such read of a written array
+        self.checked_v_reads: list[tuple[str, tuple]] = []
+        for name, axis, off in self.v_reads:
+            w = self.writes.get(name)
+            if w is None:
+                continue
+            if axis != w[0]:
+                raise Reject
+            self.checked_v_reads.append((name, off))
+        # invariant reads of written arrays need their index on the
+        # write axis for the runtime range check
+        #: (array, index expression on the write axis) per such read
+        self.checked_inv_reads: list[tuple[str, A.Expr]] = []
+        for name, subs in self.inv_reads:
+            w = self.writes.get(name)
+            if w is None:
+                continue
+            axis = w[0]
+            if axis >= len(subs):
+                raise Reject
+            self.checked_inv_reads.append((name, subs[axis]))
+
+
+class _Plan:
+    """The interpreter's block executor for one :class:`LoopShape`:
+    closures that evaluate each statement over a whole block."""
+
+    def __init__(self, do: A.Do, unit, interp) -> None:
+        shape = LoopShape(do)
+        self.shape = shape
+        self.unit = unit
+        self.interp = interp
+        self.v = do.var
+        self.ops_per_iter = shape.ops_per_iter
+        self.execs = [self._make_exec(t, axis, off, rhs)
+                      for t, axis, off, rhs in shape.stmts]
+        self._write_offs = [
+            (name, [self._off_fn(o) for o in offs])
+            for name, (_axis, offs) in shape.writes.items()
+        ]
+        self._checked_v_reads = [
+            (name, self._off_fn(off)) for name, off in shape.checked_v_reads
+        ]
+        self._checked_inv_reads = [
+            (name, self._invariant_fn(idx))
+            for name, idx in shape.checked_inv_reads
+        ]
 
     def _invariant_fn(self, e: A.Expr) -> Callable:
         return self.interp._compile_expr(e, self.unit)
 
-    def _checked_invariant(self, e: A.Expr) -> Callable:
-        """Compile a loop-invariant expression that the block evaluates
-        once (the scalar path evaluates it per iteration, but invariance
-        makes the values equal).  User-function calls are rejected —
-        they carry per-call cost accounting and may have effects — and
-        array reads inside it are recorded so the runtime disjointness
-        check sees them."""
-        for sub in A.walk_exprs(e):
-            if isinstance(sub, A.CallExpr) \
-                    and sub.name not in _INVARIANT_OK_CALLS:
-                raise _Reject
-            if isinstance(sub, A.Triplet):
-                raise _Reject
-            if isinstance(sub, A.ArrayRef):
-                self.inv_reads.append((sub.name, list(sub.subs)))
-        return self._invariant_fn(e)
-
-    def _axis_offset(self, e: A.Expr) -> Callable:
-        """Offset function for a subscript of the form ``i``/``i±c``/
-        ``c+i`` (``c`` loop invariant)."""
-        v = self.v
-        if isinstance(e, A.Var) and e.name == v:
+    def _off_fn(self, off: tuple) -> Callable:
+        """Closure of a subscript offset (see :class:`LoopShape`)."""
+        if off[0] == "zero":
             return lambda fr: 0
-        if isinstance(e, A.BinOp) and e.op in ("+", "-"):
-            left_v = isinstance(e.left, A.Var) and e.left.name == v
-            right_v = isinstance(e.right, A.Var) and e.right.name == v
-            if left_v and not _mentions(e.right, v):
-                off = self._checked_invariant(e.right)
-                if e.op == "+":
-                    return lambda fr: int(off(fr))
-                return lambda fr: -int(off(fr))
-            if e.op == "+" and right_v and not _mentions(e.left, v):
-                off = self._checked_invariant(e.left)
-                return lambda fr: int(off(fr))
-        raise _Reject
+        c = self._invariant_fn(off[1])
+        if off[0] == "pos":
+            return lambda fr: int(c(fr))
+        return lambda fr: -int(c(fr))
 
-    def _classify_ref(self, ref: A.ArrayRef):
-        """Split a reference's subscripts into the loop axis (at most
-        one, affine in the loop variable) and invariant index fns."""
-        axis = None
-        off_fn = None
-        sub_items: list[Optional[Callable]] = []
-        for pos, s in enumerate(ref.subs):
-            if isinstance(s, A.Triplet):
-                raise _Reject
-            if _mentions(s, self.v):
-                if axis is not None:
-                    raise _Reject
-                axis = pos
-                off_fn = self._axis_offset(s)
-                sub_items.append(None)
-            else:
-                sub_items.append(self._checked_invariant(s))
-        return axis, off_fn, sub_items
-
-    def _compile_target(self, t: A.ArrayRef):
-        axis, off_fn, sub_items = self._classify_ref(t)
-        if axis is None:
-            raise _Reject  # loop-invariant write: a cross-iteration race
-        prev = self.writes.get(t.name)
-        if prev is None:
-            self.writes[t.name] = (axis, [off_fn])
-        else:
-            if prev[0] != axis:
-                raise _Reject
-            prev[1].append(off_fn)
-        return t.name, axis, off_fn, sub_items
+    def _sub_items(self, ref: A.ArrayRef, axis: int) -> list:
+        return [None if pos == axis else self._invariant_fn(s)
+                for pos, s in enumerate(ref.subs)]
 
     # -- expression compilation --------------------------------------------
 
@@ -252,7 +368,8 @@ class _Plan:
         """Compile *e* to ``fn(frame, block) -> scalar | ndarray`` with
         values bit-identical to the scalar path's per-element results."""
         if not _mentions(e, self.v):
-            return self._compile_invariant(e)
+            fn = self._invariant_fn(e)  # evaluated once per block
+            return lambda fr, blk: fn(fr)
         if isinstance(e, A.Var):  # the loop variable itself
             return lambda fr, blk: blk.iota()
         if isinstance(e, A.ArrayRef):
@@ -260,41 +377,20 @@ class _Plan:
         if isinstance(e, A.BinOp):
             lf = self._compile_expr(e.left)
             rf = self._compile_expr(e.right)
-            op = e.op
-            if op == "+":
-                return lambda fr, blk: lf(fr, blk) + rf(fr, blk)
-            if op == "-":
-                return lambda fr, blk: lf(fr, blk) - rf(fr, blk)
-            if op == "*":
-                return lambda fr, blk: lf(fr, blk) * rf(fr, blk)
-            if op == "/":
-                return lambda fr, blk: _fortran_div(lf(fr, blk), rf(fr, blk))
-            if op == "**":
-                return lambda fr, blk: lf(fr, blk) ** rf(fr, blk)
-            raise _Reject  # comparisons / logicals: not in affine assigns
-        if isinstance(e, A.UnOp) and e.op == "-":
+            op = VEC_BINOPS[e.op]
+            return lambda fr, blk: op(lf(fr, blk), rf(fr, blk))
+        if isinstance(e, A.UnOp):
             of = self._compile_expr(e.operand)
             return lambda fr, blk: -of(fr, blk)
-        if isinstance(e, A.CallExpr):
-            impl = _VEC_INTRINSICS.get(e.name)
-            if impl is None:
-                raise _Reject  # user functions: per-call cost + effects
-            arg_fns = [self._compile_expr(a) for a in e.args]
-            return lambda fr, blk: impl([f(fr, blk) for f in arg_fns])
-        raise _Reject
-
-    def _compile_invariant(self, e: A.Expr) -> Callable:
-        """A loop-invariant subexpression: evaluated once per block via
-        the scalar expression compiler."""
-        fn = self._checked_invariant(e)
-        return lambda fr, blk: fn(fr)
+        impl = _VEC_INTRINSICS[e.name]
+        arg_fns = [self._compile_expr(a) for a in e.args]
+        return lambda fr, blk: impl([f(fr, blk) for f in arg_fns])
 
     def _compile_read(self, ref: A.ArrayRef) -> Callable:
-        axis, off_fn, sub_items = self._classify_ref(ref)
-        # axis is not None here: _mentions(ref, v) held and all subs of
-        # an invariant ref would have been taken by _compile_invariant
         name = ref.name
-        self.v_reads.append((name, axis, off_fn))
+        axis, off = self.shape.refs[id(ref)]
+        off_fn = self._off_fn(off)
+        sub_items = self._sub_items(ref, axis)
 
         def read(fr, blk):
             arr = fr.arrays[name]
@@ -304,8 +400,12 @@ class _Plan:
 
         return read
 
-    def _make_exec(self, target, rhs_fn) -> Callable:
-        name, axis, off_fn, sub_items = target
+    def _make_exec(self, target: A.ArrayRef, axis: int, off: tuple,
+                   rhs: A.Expr) -> Callable:
+        name = target.name
+        off_fn = self._off_fn(off)
+        sub_items = self._sub_items(target, axis)
+        rhs_fn = self._compile_expr(rhs)
 
         def exec_stmt(fr, blk):
             arr = fr.arrays[name]
@@ -315,39 +415,12 @@ class _Plan:
 
         return exec_stmt
 
-    # -- legality -----------------------------------------------------------
-
-    def _finalize_legality(self) -> None:
-        # reads carrying the loop variable must sit on the write axis of
-        # any array the block writes (offset equality checked per block)
-        self._checked_v_reads = []
-        for name, axis, off_fn in self.v_reads:
-            w = self.writes.get(name)
-            if w is None:
-                continue
-            if axis != w[0]:
-                raise _Reject
-            self._checked_v_reads.append((name, off_fn))
-        # invariant reads of written arrays need their index on the
-        # write axis for the runtime range check
-        self._checked_inv_reads = []
-        for name, subs in self.inv_reads:
-            w = self.writes.get(name)
-            if w is None:
-                continue
-            axis = w[0]
-            if axis >= len(subs):
-                raise _Reject
-            self._checked_inv_reads.append(
-                (name, self._invariant_fn(subs[axis]))
-            )
-
     def runtime_ok(self, fr, lo: int, st: int, n: int) -> bool:
         """Per-block residual legality: common write offsets, read
         offsets equal to write offsets, invariant reads outside the
         written index range."""
         woff = {}
-        for name, (axis, off_fns) in self.writes.items():
+        for name, off_fns in self._write_offs:
             w = int(off_fns[0](fr))
             for f in off_fns[1:]:
                 if int(f(fr)) != w:
@@ -389,11 +462,9 @@ def try_vectorize(do: A.Do, unit, interp, scalar_fallback) -> Optional[Callable]
     the returned function itself falls back to *scalar_fallback* for
     blocks that fail the residual runtime checks or are too small to
     win."""
-    if not do.body:
-        return None
     try:
         plan = _Plan(do, unit, interp)
-    except _Reject:
+    except Reject:
         return None
 
     from .interpreter import InterpError

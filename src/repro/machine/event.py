@@ -17,11 +17,11 @@ a time, on the calling thread:
   only at a genuine blocking point — a receive with an empty queue, a
   collective they are not the last to enter — and a context switch is
   one ``gen.send(None)``.  The interpreter and the generated node
-  programs compile yielding variants
-  (:meth:`repro.interp.interpreter.Interpreter.run_events`,
-  :meth:`repro.codegen.runtime.NodeRt.run_y`); plain callable node
-  programs are carried on a thread-backed fiber adapter
-  (:class:`_FiberCoroutine`) with identical semantics;
+  programs (:meth:`repro.interp.interpreter.Interpreter.run_events`,
+  :meth:`repro.codegen.runtime.NodeRt.run_y`) lower every procedure
+  that may block to a generator, also when the blocking point sits
+  inside an expression (a communicating FUNCTION); the core starts no
+  thread;
 * there are no locks in the data path — plain dicts and lists, because
   there is never a second runner to race with — and a collective
   completes in a **single rendezvous**: the last arrival computes
@@ -39,8 +39,6 @@ a time, on the calling thread:
 from __future__ import annotations
 
 import heapq
-import inspect
-import threading
 import time
 from collections import deque
 from typing import Any, Callable, Generator, Optional
@@ -238,10 +236,10 @@ class EventScheduler:
     def _teardown(self, coros: list[Any]) -> None:
         """Resume every live coroutine once so it observes the failure
         and exits — the same drain a declared deadlock gets from the
-        main loop, run eagerly here so fiber-carried node programs
-        (whose yields park a real thread) don't outlive the raise.
-        Every live rank sits at a yield inside a communication op and
-        raises on the resume; the loop is bounded defensively anyway."""
+        main loop, run eagerly here so every rank's runner records its
+        failure and finish before the raise.  Every live rank sits at a
+        yield inside a communication op and raises on the resume; the
+        loop is bounded defensively anyway."""
         self.fail()
         for _ in range(4 * self.nprocs):
             r = self._pop_runnable()
@@ -675,105 +673,16 @@ class EventCollectives:
         return incoming, t
 
 
-def is_event_coroutine(fn: Any) -> bool:
-    """Should *fn* be driven as a rank coroutine (vs a fiber)?
-
-    True for generator functions and for callables marked with an
-    ``event_coroutine`` attribute — the tag lets non-generator
-    wrappers (e.g. around generated node programs) opt in explicitly.
-    """
-    return bool(
-        getattr(fn, "event_coroutine", False)
-        or inspect.isgeneratorfunction(fn)
-    )
-
-
-class _FiberCoroutine:
-    """Thread-backed coroutine adapter for plain-callable node programs.
-
-    Presents the generator protocol the event loop drives
-    (``send(None)`` resumes until the next blocking point or
-    completion, raising StopIteration at the end) on top of a daemon
-    thread, so node programs written as ordinary callables — tests,
-    hand-written experiments — run on the event core unchanged.  Only
-    one side runs at any moment: ``send`` wakes the fiber and waits for
-    it to park or finish, so no other synchronization is needed.
-    """
-
-    def __init__(self, body: Callable[[], None], name: str,
-                 timeout_s: float) -> None:
-        self._body = body
-        self._timeout = timeout_s
-        self._resume = threading.Event()
-        self._parked = threading.Event()
-        self._done = False
-        self._exc: Optional[BaseException] = None
-        self._thread = threading.Thread(
-            target=self._main, name=name, daemon=True
-        )
-        self._started = False
-
-    def _main(self) -> None:
-        try:
-            self._body()
-        except BaseException as e:  # pragma: no cover - runner catches all
-            self._exc = e
-        finally:
-            self._done = True
-            self._parked.set()
-
-    def park(self) -> None:
-        """Called on the fiber thread (via ``EventProcContext._drive``)
-        at a blocking point: hand control back to the event loop."""
-        self._parked.set()
-        if not self._resume.wait(timeout=self._timeout):
-            # wall-clock safety net: only fires if the event loop died
-            # without tearing us down
-            raise DeadlockError(
-                f"deadlock: wall-clock timeout: fiber "
-                f"{self._thread.name} waited {self._timeout:.1f}s "
-                f"for the event loop to resume it"
-            )
-        self._resume.clear()
-
-    def send(self, value: None) -> None:
-        """Resume the fiber until it parks or finishes."""
-        if self._done:
-            raise StopIteration
-        if not self._started:
-            self._started = True
-            self._thread.start()
-        else:
-            self._resume.set()
-        if not self._parked.wait(timeout=self._timeout + 10.0):
-            raise SimulationError(  # pragma: no cover - defensive
-                f"fiber {self._thread.name} neither parked nor finished"
-            )
-        self._parked.clear()
-        if self._done:
-            if self._exc is not None:  # pragma: no cover - defensive
-                raise self._exc
-            raise StopIteration
-
-
 class EventProcContext(ProcContext):
     """Node-processor context: the blocking communication ops.
 
     :class:`~repro.machine.machine.ProcContext` holds the clock, the
     compute charges, and the non-blocking ``send``; this subclass adds
-    the ops that may suspend.  The generator forms (``recv_y`` /
+    the ops that may suspend.  Each is a generator (``recv_y`` /
     ``broadcast_y`` / ``allreduce_y`` / ``barrier_y`` / ``exchange_y``)
-    ``yield`` while blocked — generator node programs drive them with
-    ``yield from``.  The plain forms serve fiber-carried callable node
-    programs: they drive the same generators, parking the fiber at each
-    yield, so both program styles share one implementation of the
-    virtual-time arithmetic.
+    that ``yield``s while blocked; node programs drive them with
+    ``yield from``.
     """
-
-    def __init__(self, rank: int, machine: Any) -> None:
-        super().__init__(rank, machine)
-        #: set by Machine._run when this rank runs on a _FiberCoroutine
-        self._fiber: Optional[_FiberCoroutine] = None
 
     # -- generator communication ops ---------------------------------------
 
@@ -840,49 +749,3 @@ class EventProcContext(ProcContext):
         )
         self.clock = t
         return incoming
-
-    # -- plain blocking ops (fiber-carried callable programs) --------------
-
-    def _drive(self, gen: Generator[None, None, Any]) -> Any:
-        """Run a communication generator to completion, parking the
-        fiber at every yield.  Off-fiber (e.g. a helper probing a
-        context after the run) only non-blocking completion is legal."""
-        fiber = self._fiber
-        try:
-            while True:
-                gen.send(None)
-                if fiber is None:
-                    gen.close()
-                    raise SimulationError(
-                        f"processor {self.rank}: blocking operation "
-                        f"outside the event loop"
-                    )
-                try:
-                    fiber.park()
-                except BaseException:
-                    gen.close()
-                    raise
-        except StopIteration as stop:
-            return stop.value
-
-    def recv(self, src: int, tag: int, origin: Optional[str] = None) -> Any:
-        return self._drive(self.recv_y(src, tag, origin=origin))
-
-    def broadcast(self, root: int, payload: Any, nbytes: int,
-                  consume: Any = None, origin: Optional[str] = None) -> Any:
-        return self._drive(self.broadcast_y(
-            root, payload, nbytes, consume=consume, origin=origin
-        ))
-
-    def allreduce(self, value: Any, op: str, nbytes: int = 8,
-                  origin: Optional[str] = None) -> Any:
-        return self._drive(self.allreduce_y(value, op, nbytes, origin=origin))
-
-    def barrier(self, origin: Optional[str] = None) -> None:
-        return self._drive(self.barrier_y(origin=origin))
-
-    def exchange(self, outgoing: dict[int, Any], nbytes_out: int,
-                 origin: Optional[str] = None) -> dict[int, Any]:
-        return self._drive(self.exchange_y(
-            outgoing, nbytes_out, origin=origin
-        ))

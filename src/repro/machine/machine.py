@@ -4,11 +4,13 @@ A :class:`Machine` runs the same node program (SPMD) on every simulated
 processor; each node sees a processor context — its rank, virtual
 clock, and communication primitives.  One backend drives the node
 programs: the event core (:mod:`repro.machine.event`), which runs one
-rank at a time off a ``(virtual clock, rank)`` calendar.  Exceptions on
-any node abort the whole run: the remaining ranks are torn down at
-their next network operation and the *first* failure by virtual time is
-re-raised on the caller's thread (secondary teardown aborts never shadow
-the primary error).
+rank at a time off a ``(virtual clock, rank)`` calendar.  A node program
+that communicates is a generator: it ``yield``s exactly where its rank
+blocks, and the core resumes it on the caller's thread — the simulator
+starts no threads.  Exceptions on any node abort the whole run: the
+remaining ranks are torn down at their next network operation and the
+*first* failure by virtual time is re-raised (secondary teardown aborts
+never shadow the primary error).
 
 Resilience hooks:
 
@@ -22,6 +24,7 @@ Resilience hooks:
 
 from __future__ import annotations
 
+import inspect
 import time
 import traceback
 from typing import Any, Callable, Optional
@@ -186,8 +189,8 @@ class Machine:
     The node programs run on the event core
     (:mod:`repro.machine.event`): one rank executes at a time,
     dispatched in deterministic ``(virtual clock, rank)`` order off a
-    calendar heap.  Generator node programs run as coroutines; plain
-    callables are carried on fibers with identical semantics.  Virtual
+    calendar heap.  Node programs that block are generators, run as
+    coroutines on the calling thread.  Virtual
     time is dataflow-determined, so results, clocks, and message/byte
     statistics do not depend on the dispatch order
     (``tests/test_scheduler_differential.py`` perturbs it to check).
@@ -282,8 +285,11 @@ class Machine:
 
         *node_program* is either one callable shared by every rank or a
         sequence of per-rank callables (e.g. generated node programs,
-        which differ per rank class).  Generator functions run as rank
-        coroutines; plain callables run on fibers.  On failure the
+        which differ per rank class).  Each program is called with its
+        rank's context; a generator it returns runs as the rank's
+        coroutine (suspending at blocking communication), any other
+        result is the rank's result as is, so a callable that never
+        blocks needs no ``yield``.  On failure the
         remaining ranks are aborted at their next network operation and
         the first error *by virtual time* is re-raised (teardown aborts
         are only raised when no primary error exists).
@@ -324,8 +330,7 @@ class Machine:
                 )
 
     def _run(self, node_program: Callable[[ProcContext], Any]) -> list[Any]:
-        from .event import EventProcContext, _FiberCoroutine, \
-            is_event_coroutine
+        from .event import EventProcContext
 
         contexts = [EventProcContext(r, self) for r in range(self.nprocs)]
         if isinstance(node_program, (list, tuple)):
@@ -356,38 +361,30 @@ class Machine:
             # event loop declares that deadlock when its heap runs dry
             sched.finish(ctx.rank, ctx.clock, failed=failed)
 
-        if is_event_coroutine(programs[0]):
-            def runner_gen(ctx: ProcContext):
-                failed = False
+        def runner(ctx: ProcContext):
+            try:
+                result = programs[ctx.rank](ctx)
+                if inspect.isgenerator(result):
+                    result = yield from result
+            except GeneratorExit:
+                raise  # closed unfinished by an aborted run: nothing to record
+            except BaseException as e:  # noqa: BLE001 - reported
                 try:
-                    results[ctx.rank] = yield from programs[ctx.rank](ctx)
-                except BaseException as e:  # noqa: BLE001 - reported
-                    failed = True
                     record_failure(ctx, e)
                 finally:
-                    finish(ctx, failed)
+                    finish(ctx, True)
+            else:
+                results[ctx.rank] = result
+                finish(ctx, False)
 
-            coros: list[Any] = [runner_gen(c) for c in contexts]
-        else:
-            def runner(ctx: ProcContext) -> None:
-                failed = False
-                try:
-                    results[ctx.rank] = programs[ctx.rank](ctx)
-                except BaseException as e:  # noqa: BLE001 - reported
-                    failed = True
-                    record_failure(ctx, e)
-                finally:
-                    finish(ctx, failed)
-
-            coros = []
-            for c in contexts:
-                fiber = _FiberCoroutine(
-                    (lambda c=c: runner(c)), name=f"node-{c.rank}",
-                    timeout_s=self.network.timeout_s,
-                )
-                c._fiber = fiber
-                coros.append(fiber)
-        sched.run_ranks(coros)
+        coros = [runner(c) for c in contexts]
+        try:
+            sched.run_ranks(coros)
+        finally:
+            # a run that raised may leave ranks suspended: close them
+            # here rather than whenever the garbage collector would
+            for c in coros:
+                c.close()
         return self._raise_or_results(errors, results)
 
     def _raise_or_results(

@@ -4,10 +4,11 @@ Fortran D "assumes the existence of a collection of library routines that
 can be invoked to remap arrays for different data decompositions".  This
 module is that library for the simulated machine:
 
-* :func:`remap_array` — physical redistribution: every node sends the
+* :func:`remap_array_y` — physical redistribution: every node sends the
   elements it owns under the old distribution to their owners under the
   new one (all-to-all personalized exchange), then records the new
-  distribution on the array.
+  distribution on the array.  A generator: node programs drive it with
+  ``yield from``.
 * :func:`mark_array` — the §6.3 array-kill optimization: when the
   array's values are dead, remap *in place* by only changing the
   recorded distribution (zero data motion).
@@ -102,28 +103,25 @@ def _remap_prologue(
     return old
 
 
-def remap_array(ctx: "ProcContext", arr: "FArray", new: Distribution,
-                origin: str = None) -> None:
-    """Physically redistribute *arr* to *new* (collective)."""
-    old = _remap_prologue(ctx, arr, new)
-    if old is None:
-        return
-    outgoing, out_bytes = _build_outgoing(ctx, arr, old, new)
-    incoming = ctx.exchange(outgoing, out_bytes, origin=origin)
-    _apply_incoming(ctx, arr, incoming, new, out_bytes)
-
-
 def remap_array_y(ctx: "ProcContext", arr: "FArray", new: Distribution,
                   origin: str = None):
-    """Generator twin of :func:`remap_array` for the event-driven
-    backend: identical section math and stats, but the all-to-all
-    exchange suspends the rank coroutine instead of parking a fiber."""
+    """Physically redistribute *arr* to *new* (collective; a generator
+    — the all-to-all exchange suspends the rank until every rank has
+    entered it)."""
     old = _remap_prologue(ctx, arr, new)
     if old is None:
         return
     outgoing, out_bytes = _build_outgoing(ctx, arr, old, new)
     incoming = yield from ctx.exchange_y(outgoing, out_bytes, origin=origin)
     _apply_incoming(ctx, arr, incoming, new, out_bytes)
+
+
+def remap_array(ctx: "ProcContext", arr: "FArray", new: Distribution,
+                origin: str = None):
+    """Same as :func:`remap_array_y`."""
+    # a distinct function, not an alias: perfbench/layers.py wraps
+    # remap_array and remap_array_y one by one
+    return remap_array_y(ctx, arr, new, origin=origin)
 
 
 def mark_array(arr: "FArray", new: Distribution) -> None:

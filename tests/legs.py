@@ -1,18 +1,17 @@
 """Execution legs for the suites that once ran per scheduler backend.
 
 The simulator has one backend, the event core
-(:mod:`repro.machine.event`).  It carries node programs in two shapes —
-generator coroutines, or plain callables parked on fibers (the shape
-``run_spmd`` falls back to when a communicating FUNCTION is referenced
-inside an expression) — and its calendar can be popped in ``(clock,
-rank)`` order or, under :func:`perturbed_dispatch`, in a seeded-random
-order.  Suites that used to run once per backend keep three legs, each
-named after the retired backend whose coverage it took over:
+(:mod:`repro.machine.event`), and one node-program shape: generator
+coroutines.  What still varies is the order in which the calendar
+dispatches runnable ranks, so there are two legs:
 
-* ``event``   — generator node programs, ``(clock, rank)`` order;
-* ``coop``    — plain callables on fibers, ``(clock, rank)`` order;
-* ``threads`` — plain callables on fibers, seeded-random dispatch
-  order (the thread backend's arbitrary interleavings, reproducible).
+* ``event``     — ``(clock, rank)`` order, the default;
+* ``perturbed`` — a seeded-random order (:func:`perturbed_dispatch`).
+
+The suites keep the parametrize ids they carried while they ran once per
+backend, so their test ids stay stable: ``event`` is the ``event`` leg,
+``coop`` and ``threads`` are the ``perturbed`` leg with two different
+seeds (:data:`LEG_SEEDS`).
 
 Every leg must produce bit-identical arrays, clocks and statistics.
 Link contention is the one exception: its arrival times depend on send
@@ -23,10 +22,9 @@ from __future__ import annotations
 
 import heapq
 import random
-from contextlib import ExitStack, contextmanager
-from typing import Callable, Iterator
+from contextlib import contextmanager
+from typing import Iterator
 
-import repro.interp.interpreter as interpreter
 from repro.machine.event import (
     S_BLOCKED_COLL,
     S_BLOCKED_RECV,
@@ -35,6 +33,9 @@ from repro.machine.event import (
 )
 
 LEGS = ("coop", "threads", "event")
+
+#: dispatch-order seed of each perturbed leg id
+LEG_SEEDS = {"coop": 11, "threads": 1}
 
 
 @contextmanager
@@ -91,35 +92,13 @@ def perturbed_dispatch(seed: int) -> Iterator[list[int]]:
 
 
 @contextmanager
-def fiber_programs() -> Iterator[None]:
-    """Make ``run_spmd`` run every program as plain callables on fibers
-    (the path it otherwise takes only for communicating functions
-    inside expressions)."""
-    with _patched(interpreter, "needs_fibers", lambda program: True):
-        yield
-
-
-@contextmanager
-def leg(name: str, seed: int = 1) -> Iterator[None]:
-    """Run the body under execution leg *name* (see the module
-    docstring); *seed* drives the ``threads`` leg's dispatch order."""
+def leg(name: str) -> Iterator[None]:
+    """Run the body under the leg that id *name* names (see the module
+    docstring)."""
     if name not in LEGS:
         raise ValueError(f"unknown leg {name!r}")
-    with ExitStack() as stack:
-        if name != "event":
-            stack.enter_context(fiber_programs())
-        if name == "threads":
-            stack.enter_context(perturbed_dispatch(seed))
-        yield
-
-
-def node_program(gen_fn: Callable, name: str) -> Callable:
-    """*gen_fn* (a generator node program) in leg *name*'s shape: as is
-    for ``event``, else a plain callable that drives it on its fiber."""
     if name == "event":
-        return gen_fn
-
-    def plain(ctx):
-        return ctx._drive(gen_fn(ctx))
-
-    return plain
+        yield
+        return
+    with perturbed_dispatch(LEG_SEEDS[name]):
+        yield

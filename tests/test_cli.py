@@ -71,6 +71,30 @@ class TestRun:
         assert "! verify x: OK" in out
         assert "msgs=6" in out
 
+    def test_verify_skips_nonfinite_reference(self, tmp_path, capsys):
+        """dgefa's default initializer makes the matrix singular, so the
+        sequential reference is NaN: not a mismatch, not a check."""
+        from repro.apps.dgefa import dgefa_source
+
+        p = tmp_path / "dgefa.fd"
+        p.write_text(dgefa_source(16))
+        assert main([str(p), "--run", "--verify", "--no-text",
+                     "--nprocs", "4"]) == 0
+        out = capsys.readouterr().out
+        assert ("! verify a: NOT CHECKED (sequential reference not "
+                "finite)") in out
+        assert "MISMATCH" not in out
+
+    def test_verify_mismatch_exits_1(self, src_file, capsys, monkeypatch):
+        """A genuine difference still prints MISMATCH and exits 1."""
+        from repro.interp.interpreter import SPMDResult
+
+        gathered = SPMDResult.gathered
+        monkeypatch.setattr(SPMDResult, "gathered",
+                            lambda self, name: gathered(self, name) + 1.0)
+        assert main([src_file, "--run", "--verify", "--no-text"]) == 1
+        assert "! verify x: MISMATCH" in capsys.readouterr().out
+
     def test_gather_prints_array(self, src_file, capsys):
         assert main([src_file, "--run", "--gather", "x",
                      "--no-text"]) == 0

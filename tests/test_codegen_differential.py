@@ -3,15 +3,17 @@
 The generated path must be an *invisible* perf optimization: per-rank
 arrays, virtual clocks, delivery statistics, and printed output are
 bit-identical to the closure-tree interpreter in every execution leg
-(``tests/legs.py``: generator variants, plain variants on fibers,
-perturbed dispatch order), under fault injection, with and without
-vectorization — and
+(``tests/legs.py``: ``(clock, rank)`` and perturbed dispatch orders),
+under fault injection, with and without vectorization — and
 every cache malfunction (poisoned entry, unreadable file, stale
 generator version) silently regenerates instead of failing or, worse,
 executing the wrong module.
 """
 
 from __future__ import annotations
+
+import ast
+import inspect
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from repro.codegen import (
 from repro.codegen.cache import entry_path, entry_stem, program_key
 from repro.core.driver import compile_program
 from repro.core.options import Mode, Options
+from repro.interp.interpreter import find_blocking_units
 from repro.lang import ast as A
 from repro.machine import FaultPlan
 from repro.obs import Tracer
@@ -131,6 +134,31 @@ def test_modes_bit_identical(mode):
                       f"{mode.value} coop")
     _assert_identical(ref, _run(cp, None, "event", codegen=True),
                       f"{mode.value} event")
+
+
+@pytest.mark.parametrize("name", ["dgefa", "expr-function"])
+def test_one_function_per_procedure(codegen_tmp, name):
+    """Each procedure is emitted once: one top-level function per
+    procedure in every rank-class module, a generator exactly when the
+    procedure may block."""
+    from .test_expr_function_comm import SRC as EXPR_SRC
+
+    src = dgefa_source(16) if name == "dgefa" else EXPR_SRC
+    cp = compile_program(src, Options(nprocs=4, mode=Mode.INTER))
+    gen, _, _ = get_generated(cp.program, 4, True)
+    procs = {u.name for u in cp.program.units}
+    blocking = find_blocking_units(cp.program)
+    assert gen.demotions == []
+    assert blocking  # both programs communicate
+    for _rlo, _rhi, mod in gen.modules.values():
+        defs = [n.name for n in ast.parse(mod.source).body
+                if isinstance(n, ast.FunctionDef)]
+        assert len(defs) == len(procs), defs
+        assert set(mod.units) == procs
+        assert sorted(f.__name__ for f in mod.units.values()) == sorted(defs)
+        for proc, fn in mod.units.items():
+            assert inspect.isgeneratorfunction(fn) == (proc in blocking), \
+                proc
 
 
 def test_no_demotions_on_paper_apps():
@@ -287,7 +315,7 @@ def test_demotion_falls_back_and_traces(codegen_tmp, monkeypatch):
 def test_partial_demotion_mixes_paths(codegen_tmp, monkeypatch):
     """Demoting only some procedures leaves the rest generated; the
     mid-run handoff — generated main calling an interpreter-demoted
-    callee — must stay bit-identical too, on both backend kinds."""
+    callee — must stay bit-identical too, in both dispatch orders."""
     monkeypatch.setattr(emit_mod, "UNSUPPORTED_STMTS", (A.If,))
     init = make_dgefa_init(16)
     cp = compile_program(dgefa_source(16),

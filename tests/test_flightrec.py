@@ -26,7 +26,7 @@ from repro.obs.flightrec import (
 from repro.obs.metrics import MetricsRegistry
 from repro.service import ServiceCompiler, WorkerPool
 
-from .legs import LEGS, leg, node_program
+from .legs import LEGS, leg
 from .test_service import BASE
 
 
@@ -135,9 +135,7 @@ class TestDeadlockBundle:
 
         with pytest.raises(SimulationError, match="deadlock|aborted"), \
                 leg(leg_name):
-            Machine(2, FREE, timeout_s=10.0).run(
-                node_program(prog, leg_name)
-            )
+            Machine(2, FREE, timeout_s=10.0).run(prog)
         bundle = _load_bundle(tmp_path, "simulation-error")
         assert bundle["kind"] == "simulation-error"
         assert bundle["error"]["type"] in ("SimulationError",

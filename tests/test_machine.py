@@ -16,7 +16,7 @@ from repro.machine import (
 )
 from repro.machine.network import resolve_timeout
 
-from .legs import LEGS, leg, node_program
+from .legs import LEGS, leg
 
 
 def node_threads():
@@ -32,7 +32,7 @@ class TestPointToPoint:
             if ctx.rank < ctx.nprocs - 1:
                 ctx.send(ctx.rank + 1, 1, ctx.rank, 8)
             if ctx.rank > 0:
-                return ctx.recv(ctx.rank - 1, 1)
+                return (yield from ctx.recv_y(ctx.rank - 1, 1))
             return None
 
         m = Machine(4, FREE)
@@ -50,8 +50,8 @@ class TestPointToPoint:
                 ctx.send(1, 5, "five", 8)
                 ctx.send(1, 3, "three", 8)
             elif ctx.rank == 1:
-                a = ctx.recv(0, 3)
-                b = ctx.recv(0, 5)
+                a = yield from ctx.recv_y(0, 3)
+                b = yield from ctx.recv_y(0, 5)
                 return (a, b)
             return None
 
@@ -76,7 +76,7 @@ class TestPointToPoint:
     def test_deadlock_detected(self):
         def prog(ctx):
             if ctx.rank == 1:
-                ctx.recv(0, 42)  # never sent
+                yield from ctx.recv_y(0, 42)  # never sent
 
         with pytest.raises(SimulationError, match="deadlock|aborted"):
             Machine(2, FREE, timeout_s=0.5).run(prog)
@@ -96,8 +96,8 @@ class TestPointToPoint:
             else:
                 got = []
                 for tag in range(10):  # ascending receive order
-                    got.append(ctx.recv(0, tag))
-                    got.append(ctx.recv(1, 9 - tag))
+                    got.append((yield from ctx.recv_y(0, tag)))
+                    got.append((yield from ctx.recv_y(1, 9 - tag)))
                 return got
 
         res = Machine(3, FREE).run(prog)
@@ -112,7 +112,7 @@ class TestPointToPoint:
             if ctx.rank == 0:
                 ctx.send(1, 7, "other", 8)
             else:
-                ctx.recv(0, 8)  # tag 8 never sent
+                yield from ctx.recv_y(0, 8)  # tag 8 never sent
 
         with pytest.raises(SimulationError, match="deadlock|aborted"):
             Machine(2, FREE, timeout_s=0.5).run(prog)
@@ -127,7 +127,7 @@ class TestVirtualTime:
             if ctx.rank == 0:
                 ctx.send(1, 0, b"x" * 50, 50)
                 return ctx.clock
-            ctx.recv(0, 0)
+            yield from ctx.recv_y(0, 0)
             return ctx.clock
 
         m = Machine(2, cost)
@@ -145,7 +145,7 @@ class TestVirtualTime:
                 ctx.send(1, 0, 1, 8)
             else:
                 ctx.compute(10_000)  # busy until t=10000
-                ctx.recv(0, 0)
+                yield from ctx.recv_y(0, 0)
                 return ctx.clock
             return None
 
@@ -176,14 +176,15 @@ class TestVirtualTime:
 class TestCollectives:
     def test_broadcast_value(self):
         def prog(ctx):
-            return ctx.broadcast(2, "data" if ctx.rank == 2 else None, 32)
+            return (yield from ctx.broadcast_y(
+                2, "data" if ctx.rank == 2 else None, 32))
 
         res = Machine(4, FREE).run(prog)
         assert res == ["data"] * 4
 
     def test_broadcast_counts_once(self):
         def prog(ctx):
-            ctx.broadcast(0, 1 if ctx.rank == 0 else None, 8)
+            yield from ctx.broadcast_y(0, 1 if ctx.rank == 0 else None, 8)
 
         m = Machine(4, FREE)
         m.run(prog)
@@ -191,9 +192,9 @@ class TestCollectives:
 
     def test_allreduce_ops(self):
         def prog(ctx):
-            s = ctx.allreduce(ctx.rank + 1, "sum")
-            mx = ctx.allreduce(ctx.rank, "max")
-            mn = ctx.allreduce(ctx.rank, "min")
+            s = yield from ctx.allreduce_y(ctx.rank + 1, "sum")
+            mx = yield from ctx.allreduce_y(ctx.rank, "max")
+            mn = yield from ctx.allreduce_y(ctx.rank, "min")
             return (s, mx, mn)
 
         res = Machine(4, FREE).run(prog)
@@ -202,7 +203,8 @@ class TestCollectives:
     def test_allreduce_maxloc(self):
         def prog(ctx):
             mags = [3.0, 9.0, 9.0, 1.0]
-            return ctx.allreduce((mags[ctx.rank], ctx.rank), "maxloc")
+            return (yield from ctx.allreduce_y((mags[ctx.rank], ctx.rank),
+                                               "maxloc"))
 
         res = Machine(4, FREE).run(prog)
         # ties break to the smaller index
@@ -213,7 +215,7 @@ class TestCollectives:
                          copy=0.0)
 
         def prog(ctx):
-            ctx.broadcast(0, 0 if ctx.rank == 0 else None, 0)
+            yield from ctx.broadcast_y(0, 0 if ctx.rank == 0 else None, 0)
             return ctx.clock
 
         res = Machine(8, cost).run(prog)
@@ -226,7 +228,7 @@ class TestCollectives:
 
         def prog(ctx):
             ctx.compute(100 * (ctx.rank + 1))
-            ctx.barrier()
+            yield from ctx.barrier_y()
             return ctx.clock
 
         res = Machine(4, cost).run(prog)
@@ -236,7 +238,7 @@ class TestCollectives:
         def prog(ctx):
             out = {dst: f"{ctx.rank}->{dst}"
                    for dst in range(ctx.nprocs) if dst != ctx.rank}
-            inc = ctx.exchange(out, 8)
+            inc = yield from ctx.exchange_y(out, 8)
             return sorted(inc.values())
 
         res = Machine(3, FREE).run(prog)
@@ -250,7 +252,7 @@ class TestCollectives:
         def prog(ctx):
             out = {dst: b"x" * 8
                    for dst in range(ctx.nprocs) if dst != ctx.rank}
-            ctx.exchange(out, 8 * len(out))
+            yield from ctx.exchange_y(out, 8 * len(out))
 
         m = Machine(3, FREE)
         m.run(prog)
@@ -262,11 +264,9 @@ class TestCollectives:
 class TestDeadlockDiagnostics:
     """Deadlocks are declared the instant they become true — natively,
     as "no rank runnable" on the event core's calendar — with identical
-    structured reports in every execution leg (generators, plain
-    callables on fibers, perturbed dispatch order).  With a 60 s
-    safety-net timeout, each case must still fail well under a second.
-    The node programs are generators; the fiber legs drive them as
-    plain callables."""
+    structured reports in every execution leg (``(clock, rank)`` and
+    perturbed dispatch orders, ``tests/legs.py``).  With a 60 s
+    safety-net timeout, each case must still fail well under a second."""
 
     @pytest.fixture(autouse=True, params=LEGS, ids=list(LEGS))
     def _leg(self, request):
@@ -274,9 +274,7 @@ class TestDeadlockDiagnostics:
 
     def _machine_run(self, nprocs, prog, **kw):
         with leg(self.leg):
-            return Machine(nprocs, FREE, **kw).run(
-                node_program(prog, self.leg)
-            )
+            return Machine(nprocs, FREE, **kw).run(prog)
 
     def _deadlock(self, nprocs, prog):
         t0 = time.monotonic()
@@ -418,7 +416,7 @@ class TestEventBackendTimeout:
             i = 0
             while True:
                 ctx.send(peer, i, 1, 8)
-                ctx.recv(peer, i)
+                yield from ctx.recv_y(peer, i)
                 i += 1
 
         t0 = time.monotonic()
@@ -426,8 +424,8 @@ class TestEventBackendTimeout:
             Machine(2, FREE, timeout_s=0.5).run(prog)
         assert time.monotonic() - t0 < 30
         assert "timeout" in str(ei.value)
-        # the teardown must not leak fiber threads (they'd trip later
-        # tests' node_threads() checks)
+        # the teardown must not leave node threads behind (the event
+        # core starts none)
         limit = time.monotonic() + 5
         while node_threads() and time.monotonic() < limit:
             time.sleep(0.01)
@@ -438,7 +436,7 @@ class TestEventBackendTimeout:
             peer = 1 - ctx.rank
             for i in range(50):
                 ctx.send(peer, i, ctx.rank, 8)
-                ctx.recv(peer, i)
+                yield from ctx.recv_y(peer, i)
             return ctx.rank
 
         assert Machine(2, FREE, timeout_s=20.0).run(prog) == [0, 1]
@@ -451,9 +449,9 @@ class TestFaultInjection:
         total = 0
         for i in range(10):
             ctx.send(nxt, i, ctx.rank + i, 8)
-            total += ctx.recv(prv, i)
+            total += yield from ctx.recv_y(prv, i)
             ctx.compute(50)
-        return (total, ctx.allreduce(total, "sum"))
+        return (total, (yield from ctx.allreduce_y(total, "sum")))
 
     def test_same_seed_reproduces_exactly(self):
         plan = FaultPlan(seed=11, delay_prob=0.5, delay_max_us=80.0,
@@ -496,7 +494,7 @@ class TestFaultInjection:
         def prog(ctx):
             for i in range(100):
                 ctx.compute(10)
-                ctx.barrier()
+                yield from ctx.barrier_y()
             return "survived"
 
         t0 = time.monotonic()
@@ -508,7 +506,7 @@ class TestFaultInjection:
 
     def test_crash_identifies_rank(self):
         def prog(ctx):
-            ctx.barrier()
+            yield from ctx.barrier_y()
 
         with pytest.raises(SimulationError, match=r"rank 2"):
             Machine(3, FREE,

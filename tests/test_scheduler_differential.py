@@ -7,9 +7,8 @@ printed output must not depend on the order in which the calendar
 dispatches runnable ranks.  This suite perturbs that order — the test
 pops a seeded-random runnable heap entry instead of the ``(clock,
 rank)`` minimum — and requires bit-identical results, with a positive
-control that the order really changed.  It also runs each program as
-plain callables on fibers, the other shape the core carries, and checks
-determinism of the scheduler itself and the equivalence of the
+control that the order really changed.  It also checks determinism of
+the scheduler itself and the equivalence of the
 communication-schedule cache.  Uniform topology only: link contention
 is order-dependent by design.
 """
@@ -28,7 +27,7 @@ from repro.core.driver import compile_program
 from repro.core.options import Mode, Options
 from repro.machine import FaultPlan, Machine
 
-from .legs import fiber_programs, perturbed_dispatch, recorded_dispatch
+from .legs import leg, perturbed_dispatch, recorded_dispatch
 
 #: statistics that must not depend on the dispatch order (wall-clock
 #: and the scheduler counters themselves are exempt by definition)
@@ -95,20 +94,16 @@ def _assert_order_invariant(cp, init, label, seeds, **kw):
     "src,init", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
 )
 def test_apps_bit_identical_across_backends(src, init, seed, vectorize):
-    """The legs that replaced the retired backends agree bit for bit:
-    perturbed dispatch orders (what the thread backend explored by
-    accident) and plain callables on fibers (the coop backend's program
-    shape) both reproduce the generator run under a chaos plan."""
+    """Perturbed dispatch orders (what the retired thread backend
+    explored by accident) reproduce the ``(clock, rank)``-ordered run
+    under a chaos plan."""
     cp = compile_program(src, Options(nprocs=4, mode=Mode.INTER))
     plan = _chaos_plan(seed)
     label = f"seed={seed} vec={vectorize}"
-    base = _assert_order_invariant(
+    _assert_order_invariant(
         cp, init, label, [seed, seed + 100], faults=plan,
         vectorize=vectorize,
     )
-    with fiber_programs():
-        fibers = _run(cp, init, faults=plan, vectorize=vectorize)
-    _assert_identical(base, fibers, f"fibers {label}")
 
 
 @pytest.mark.parametrize("mode", [Mode.INTER, Mode.RTR],
@@ -117,24 +112,20 @@ def test_modes_bit_identical_across_backends(mode):
     """RTR's element-grain messaging stresses the comm path hardest."""
     cp = compile_program(stencil1d_source(64, 2),
                          Options(nprocs=4, mode=mode))
-    base = _assert_order_invariant(cp, None, mode.value, range(1, 6))
-    with fiber_programs():
-        _assert_identical(base, _run(cp, None), f"fibers {mode.value}")
+    _assert_order_invariant(cp, None, mode.value, range(1, 6))
 
 
-@pytest.mark.parametrize("leg", ["coop", "event"])
-def test_deterministic_backends_repeat_exactly(leg):
+@pytest.mark.parametrize("leg_name", ["coop", "event"])
+def test_deterministic_backends_repeat_exactly(leg_name):
     """Two runs agree on everything including the scheduler's own
-    counters — dispatch order is a pure function of (clock, rank), for
-    plain callables on fibers (``coop``) and generators alike."""
+    counters — dispatch order is a pure function of (clock, rank), or
+    of the seed under the perturbed ``coop`` leg (``tests/legs.py``)."""
     cp = compile_program(stencil1d_source(128, 4),
                          Options(nprocs=4, mode=Mode.INTER))
 
     def run():
-        if leg == "coop":
-            with fiber_programs():
-                return _run(cp, None, faults=_chaos_plan(1))
-        return _run(cp, None, faults=_chaos_plan(1))
+        with leg(leg_name):
+            return _run(cp, None, faults=_chaos_plan(1))
 
     a, b = run(), run()
     _assert_identical(a, b, "repeat")

@@ -13,9 +13,8 @@ Covers the satellite fixes and the new interconnect layer:
   ``REPRO_TOPOLOGY``, instance pass-through, and error cases;
 * end-to-end: runs under every topology produce the same arrays and
   message counts as uniform — only virtual time may differ — and the
-  generator and fiber-carried program shapes (the ``event`` and
-  ``coop`` legs of ``tests/legs.py``) agree bit for bit under
-  contention.
+  two executions of a node program (the interpreter's closures and
+  generated code) agree bit for bit under contention.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from repro.machine import (
     tree_stages,
 )
 
-from .legs import leg
 
 ALL_NAMES = ["uniform", "hypercube", "mesh2d", "torus2d", "fattree"]
 
@@ -263,8 +261,8 @@ def _ping(ctx):
     if ctx.rank == 0:
         ctx.send(last, 0, b"x" * 64, 64)
     elif ctx.rank == last:
-        ctx.recv(0, 0)
-    ctx.barrier()
+        yield from ctx.recv_y(0, 0)
+    yield from ctx.barrier_y()
     return ctx.clock
 
 
@@ -304,19 +302,18 @@ class TestMachineIntegration:
                              ["hypercube:contention",
                               "torus2d:contention"])
     def test_contention_bit_identical_coop_vs_event(self, topology):
-        """Contention arrival times depend on send order; plain
-        callables on fibers (``coop`` leg) and generators (``event``
-        leg) are dispatched in the same (clock, rank) order and so must
-        produce identical virtual clocks."""
+        """Contention arrival times depend on send order; the
+        interpreter's closures and generated code (the two executions
+        that once ran as the ``coop`` and ``event`` program shapes) are
+        dispatched in the same (clock, rank) order and so must produce
+        identical virtual clocks."""
         cp = compile_program(stencil1d_source(64, 2),
                              Options(nprocs=4, mode=Mode.INTER))
-        with leg("coop"):
-            a = cp.run(timeout_s=30.0, topology=topology)
-        b = cp.run(timeout_s=30.0, topology=topology)
+        a = cp.run(timeout_s=30.0, topology=topology, codegen=False)
+        b = cp.run(timeout_s=30.0, topology=topology, codegen=True)
         assert a.stats.proc_times == b.stats.proc_times
         assert a.stats.messages == b.stats.messages
         assert np.array_equal(a.gathered("x"), b.gathered("x"))
-        # and each shape repeats itself exactly
-        with leg("coop"):
-            a2 = cp.run(timeout_s=30.0, topology=topology)
+        # and each execution repeats itself exactly
+        a2 = cp.run(timeout_s=30.0, topology=topology, codegen=False)
         assert a.stats.proc_times == a2.stats.proc_times

@@ -38,8 +38,8 @@ RANK_KINDS = {
     "interp.vec", "interp.cache", "fault",
 }
 
-#: fiber-carried legs (see tests/legs.py); the generator leg is the
-#: default of every other traced run here
+#: the perturbed-dispatch legs (see tests/legs.py); the ``event`` leg
+#: is the default of every other traced run here
 GRID = [(s, v) for s in ("coop", "threads") for v in (False, True)]
 GRID_IDS = [f"{s}-{'vec' if v else 'scalar'}" for s, v in GRID]
 
